@@ -11,8 +11,9 @@
 //! crash families ride along: **torn tails** (half of record `k+1`
 //! lands as crash debris after the first `k`) and **mid-rename
 //! crashes** (the serve tier's `FaultyIo` adapted onto the engine's
-//! `RunIo`, killing the process at a payload rename so a stranded
-//! `.tmp` and a journal prefix are what recovery sees).
+//! `RunIo`, cutting power at a payload rename: a stranded `.tmp`, a
+//! journal prefix, and no rename or journal creation that a directory
+//! fsync had not yet made durable are what recovery sees).
 //!
 //! Hard assertions, at every crash point:
 //!
@@ -58,7 +59,8 @@ const COMPONENTS: [Component; 5] = [
 /// The serve tier's deterministic fault injector, adapted onto the
 /// engine's [`RunIo`] seam (the engine cannot depend on `otif-serve`,
 /// so the adapter lives here): same `(operation, ordinal)` plans, same
-/// process-death semantics after a crash fires.
+/// power-cut semantics when a crash fires — which is why `sync_dir`
+/// must reach `FaultyIo` rather than the default real fsync.
 struct ChaosRunIo {
     inner: FaultyIo<RealIo>,
 }
@@ -85,6 +87,9 @@ impl RunIo for ChaosRunIo {
     }
     fn exists(&self, path: &Path) -> bool {
         self.inner.exists(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.inner.sync_dir(dir).map_err(to_io)
     }
 }
 

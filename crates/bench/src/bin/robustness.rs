@@ -39,6 +39,7 @@ use otif_core::config::{OtifConfig, TrackerKind};
 use otif_core::pipeline::ExecutionContext;
 use otif_cv::{CostLedger, CostModel, DetectorArch, DetectorConfig};
 use otif_engine::{Engine, EngineOptions};
+use otif_serve::journal::JOURNAL_FILE;
 use otif_serve::{
     fsck, mixed_workload, run_workload_traced, Answer, CacheMode, ClipInfo, FaultyIo,
     OverloadPolicy, QueryServer, RealIo, ServeOptions, StoreFaultPlan, StoreIo, StoreOp,
@@ -50,8 +51,6 @@ use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
-
-const JOURNAL_FILE: &str = "journal.log";
 
 /// Cold-read budget for the overload scenario, spread over the store's
 /// clips: a full cold evaluation takes ~30 ms — long enough that the
@@ -67,35 +66,13 @@ fn slow_read_delay(clips: usize) -> Duration {
 /// finish faster than the burst arrives and the admission queue never
 /// fills.
 struct SlowIo {
-    inner: RealIo,
     delay: Duration,
 }
 
 impl StoreIo for SlowIo {
     fn read(&self, path: &Path) -> Result<Vec<u8>, otif_serve::StoreError> {
         std::thread::sleep(self.delay);
-        self.inner.read(path)
-    }
-    fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), otif_serve::StoreError> {
-        self.inner.write(path, bytes)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> Result<(), otif_serve::StoreError> {
-        self.inner.rename(from, to)
-    }
-    fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), otif_serve::StoreError> {
-        self.inner.append(path, bytes)
-    }
-    fn create_dir_all(&self, path: &Path) -> Result<(), otif_serve::StoreError> {
-        self.inner.create_dir_all(path)
-    }
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
-    fn remove_file(&self, path: &Path) -> Result<(), otif_serve::StoreError> {
-        self.inner.remove_file(path)
-    }
-    fn list(&self, dir: &Path) -> Result<Vec<String>, otif_serve::StoreError> {
-        self.inner.list(dir)
+        RealIo.read(path)
     }
 }
 
@@ -349,15 +326,8 @@ fn transient_reads(dir: &Path, want_fp: u64, repeats: usize) -> (u64, f64) {
 fn overload(dir: &Path, repeats: usize) -> OverloadReport {
     let slow = |delay| {
         Arc::new(
-            TrackStore::open_with(
-                dir,
-                Arc::new(SlowIo {
-                    inner: RealIo,
-                    delay,
-                }),
-                StoreOptions::default(),
-            )
-            .expect("open through slow reads"),
+            TrackStore::open_with(dir, Arc::new(SlowIo { delay }), StoreOptions::default())
+                .expect("open through slow reads"),
         )
     };
     let opts = ServeOptions {

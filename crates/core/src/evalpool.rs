@@ -283,9 +283,12 @@ impl PoolCore {
     /// if any. Caller must already have moved the task's state to
     /// QUEUED.
     fn enqueue(&self, task: usize) {
-        self.injector.push(task);
+        // Count before pushing: a worker may pop the task the moment it
+        // is pushed, and its decrement must never run ahead of this
+        // increment (the counter would wrap below zero).
         let r = self.runnable.fetch_add(1, Ordering::SeqCst) as u64 + 1;
         self.peak_runnable.fetch_max(r, Ordering::Relaxed);
+        self.injector.push(task);
         let idle = self.sleep.lock().unwrap();
         if *idle > 0 {
             self.wake_cv.notify_one();

@@ -29,6 +29,7 @@
 
 pub mod config;
 pub mod detnet;
+pub mod durable;
 pub mod evalpool;
 pub mod grouping;
 pub mod pipeline;

@@ -1,9 +1,11 @@
 //! Cross-stream detector batching (§3.2's "batched inference across
 //! streams" scaled out to the multi-stream engine).
 //!
-//! Every stream's detect stage submits one *ticket* per processed frame
-//! — the rounded sizes of that frame's detector windows — and blocks
-//! until the ticket is part of a flushed batch round. A round flushes
+//! Every stream's detect task submits one *ticket* per processed frame
+//! — the rounded sizes of that frame's detector windows — and parks
+//! until the ticket is part of a flushed batch round
+//! ([`DetectorBatcher::poll_submit_exec`], then
+//! [`DetectorBatcher::poll_pending`] once its waker fires). A round flushes
 //! at the ticket-deadline watermark: the moment every live stream has a
 //! ticket pending (in virtual time, no stream's detector is allowed to
 //! run ahead of the others, which is what makes the accounting
@@ -27,7 +29,7 @@
 //! finish) are checked errors in every build profile, and
 //! [`DetectorBatcher::finish`] handles a stream dying with a ticket
 //! still pending — the orphaned ticket is discarded (its charges never
-//! happen), its blocked submitter is released with
+//! happen), its parked submitter is woken to poll
 //! [`SubmitError::Interrupted`], and the watermark is re-evaluated so
 //! the remaining streams keep draining.
 
@@ -35,14 +37,14 @@ use crate::exec::{DetectorExec, DetectorExecHarness};
 use otif_core::evalpool::TaskWaker;
 use otif_cv::{Component, CostLedger};
 use otif_nn::Tensor3;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A rejected or abandoned [`DetectorBatcher::submit`].
+/// A rejected or abandoned [`DetectorBatcher::poll_submit_exec`].
 ///
 /// `TicketPending` and `Finished` are protocol violations (engine
 /// bugs): they are hard errors in release builds too, because silently
@@ -68,14 +70,6 @@ pub enum SubmitError {
         /// Interrupted stream.
         stream: usize,
     },
-    /// The submit deadline elapsed before the ticket's round flushed —
-    /// the cross-stream rendezvous is wedged (a sibling stream stalled
-    /// without finishing). The ticket is still pending; the caller is
-    /// expected to exit the stage, whose `StreamGuard` drop discards it.
-    TimedOut {
-        /// Timed-out stream.
-        stream: usize,
-    },
 }
 
 impl fmt::Display for SubmitError {
@@ -95,11 +89,6 @@ impl fmt::Display for SubmitError {
                 "stream {stream} was finished while its ticket was pending; \
                  the ticket was discarded"
             ),
-            SubmitError::TimedOut { stream } => write!(
-                f,
-                "stream {stream}'s ticket stalled past the batcher submit \
-                 deadline (batcher rendezvous wedged)"
-            ),
         }
     }
 }
@@ -109,7 +98,7 @@ impl std::error::Error for SubmitError {}
 /// Identity and cost of one submitted ticket, recorded into the round
 /// log so the pipelined replay (`crate::timeline`) can stamp detector
 /// completion times per round. Untagged submissions (unit tests, ad-hoc
-/// callers) carry `UNTAGGED` clip/ordinal markers.
+/// callers) carry the `UNTAGGED` clip marker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ticket {
     /// Submitting stream.
@@ -142,7 +131,7 @@ pub struct RoundRecord {
 }
 
 /// A pending submission: the rounded window sizes of the frame the
-/// stream's detect stage is blocked on, the materialized window inputs
+/// stream's detect task is parked on, the materialized window inputs
 /// (empty unless the run executes the surrogate detector in batched
 /// mode), plus its identity for the round log.
 type PendingTicket = (Vec<(u32, u32)>, Vec<Tensor3>, Ticket);
@@ -151,14 +140,14 @@ struct BatchState {
     /// One pending ticket per stream.
     tickets: Vec<Option<PendingTicket>>,
     /// Surrogate outputs scattered back per stream by a batched-exec
-    /// flush, collected by the blocked submitter on wake-up.
+    /// flush, collected by the parked submitter's next poll.
     outputs: Vec<Option<Vec<Tensor3>>>,
     /// Which streams still have frames to submit. A finished stream no
     /// longer gates the flush watermark.
     live: Vec<bool>,
     /// Set when `finish` discards a stream's pending ticket, so the
-    /// blocked submitter wakes with `SubmitError::Interrupted` instead
-    /// of assuming its ticket was flushed.
+    /// parked submitter polls `SubmitError::Interrupted` instead of
+    /// assuming its ticket was flushed.
     interrupted: Vec<bool>,
     /// Admission queue: streams not yet admitted (in index order).
     /// `finish` pops the front each time an active stream completes, so
@@ -199,7 +188,6 @@ pub enum PollSubmit {
 /// running **one** surrogate forward per (size, chunk) of each round.
 pub struct DetectorBatcher {
     state: Mutex<BatchState>,
-    flushed: Condvar,
     per_call: f64,
     max_batch: usize,
     ledger: CostLedger,
@@ -207,9 +195,6 @@ pub struct DetectorBatcher {
     /// Per-stream admission flags, readable without the state lock
     /// (decode tasks and the stall watchdog check these on hot paths).
     admitted: Vec<AtomicBool>,
-    /// Optional watchdog deadline for blocked submits (see
-    /// [`Self::with_submit_timeout`]).
-    submit_timeout: Option<std::time::Duration>,
 }
 
 impl DetectorBatcher {
@@ -228,13 +213,11 @@ impl DetectorBatcher {
                 rounds: 0,
                 log: Vec::new(),
             }),
-            flushed: Condvar::new(),
             per_call,
             max_batch: max_batch.max(1),
             ledger,
             exec: None,
             admitted: (0..streams).map(|_| AtomicBool::new(true)).collect(),
-            submit_timeout: None,
         }
     }
 
@@ -279,16 +262,6 @@ impl DetectorBatcher {
         self.state.lock().admission_wakers[stream].push(waker);
     }
 
-    /// Attach a submit watchdog: a blocked [`Self::submit`] that waits
-    /// longer than `timeout` for its round to flush returns
-    /// [`SubmitError::TimedOut`] instead of waiting forever — the
-    /// escape hatch when a sibling stream wedges the rendezvous without
-    /// dying (a dead stream's guard already unblocks the watermark).
-    pub fn with_submit_timeout(mut self, timeout: Option<std::time::Duration>) -> Self {
-        self.submit_timeout = timeout;
-        self
-    }
-
     /// Attach a detector-execution harness. When its mode is
     /// [`DetectorExec::Batched`], each flush runs the surrogate forward
     /// over the round's same-size chunks (exactly the chunks the launch
@@ -299,103 +272,15 @@ impl DetectorBatcher {
         self
     }
 
-    /// Submit one frame's window sizes for `stream` and block until the
-    /// ticket has been flushed in a batch round. Each stream may have at
-    /// most one ticket outstanding; submissions from one stream are
-    /// processed strictly in call order.
-    ///
-    /// Protocol violations (a second pending ticket, submit after
-    /// finish) are checked errors in every build profile; see
-    /// [`SubmitError`].
-    pub fn submit(&self, stream: usize, sizes: Vec<(u32, u32)>) -> Result<(), SubmitError> {
-        self.submit_tagged(stream, sizes, Ticket::UNTAGGED, 0, 0.0)
-    }
-
-    /// [`Self::submit`] carrying frame identity and the frame's
-    /// detector pixel charge, so the flush log can feed the pipelined
-    /// replay. The identity does not affect batching in any way.
-    pub fn submit_tagged(
-        &self,
-        stream: usize,
-        sizes: Vec<(u32, u32)>,
-        clip: usize,
-        ordinal: usize,
-        pixel_seconds: f64,
-    ) -> Result<(), SubmitError> {
-        self.submit_exec(stream, sizes, Vec::new(), clip, ordinal, pixel_seconds)
-            .map(|_| ())
-    }
-
-    /// [`Self::submit_tagged`] additionally carrying the frame's
-    /// materialized window input tensors (one per entry of `sizes`, or
-    /// empty when the run does not execute the surrogate in batched
-    /// mode). Returns the per-window surrogate outputs the flushing
-    /// thread scattered back — empty unless a batched-execution harness
-    /// is attached.
-    pub fn submit_exec(
-        &self,
-        stream: usize,
-        sizes: Vec<(u32, u32)>,
-        inputs: Vec<Tensor3>,
-        clip: usize,
-        ordinal: usize,
-        pixel_seconds: f64,
-    ) -> Result<Vec<Tensor3>, SubmitError> {
-        debug_assert!(
-            inputs.is_empty() || inputs.len() == sizes.len(),
-            "one input tensor per window"
-        );
-        let mut st = self.state.lock();
-        if !st.live[stream] {
-            return Err(SubmitError::Finished { stream });
-        }
-        if st.tickets[stream].is_some() {
-            return Err(SubmitError::TicketPending { stream });
-        }
-        let ticket = Ticket {
-            stream,
-            clip,
-            ordinal,
-            items: sizes.len(),
-            pixel_seconds,
-        };
-        st.tickets[stream] = Some((sizes, inputs, ticket));
-        self.flush_if_ready(&mut st);
-        loop {
-            // `finish` may have discarded the ticket (stream died while
-            // waiting): report that before concluding the ticket was
-            // flushed.
-            if st.interrupted[stream] {
-                st.interrupted[stream] = false;
-                return Err(SubmitError::Interrupted { stream });
-            }
-            if st.tickets[stream].is_none() {
-                return Ok(st.outputs[stream].take().unwrap_or_default());
-            }
-            match self.submit_timeout {
-                None => self.flushed.wait(&mut st),
-                Some(timeout) => {
-                    if self.flushed.wait_for(&mut st, timeout).timed_out()
-                        && st.tickets[stream].is_some()
-                        && !st.interrupted[stream]
-                    {
-                        // Leave the ticket pending: the caller exits its
-                        // stage and the StreamGuard drop discards it
-                        // (counted, uncharged) via `finish`.
-                        return Err(SubmitError::TimedOut { stream });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Non-blocking [`Self::submit_exec`] for pollable detect tasks:
-    /// deposit the ticket, flush if the watermark is met, and report
-    /// [`PollSubmit::Ready`] (round flushed inline) or
-    /// [`PollSubmit::Pending`] (the stream's detect waker fires when a
+    /// Submit one frame's ticket for `stream` — its rounded window
+    /// sizes, the window input tensors (one per size, or empty unless
+    /// the surrogate executes batched) and the frame identity for the
+    /// round log — and flush if the watermark is met. Reports
+    /// [`PollSubmit::Ready`] with the per-window surrogate outputs, or
+    /// [`PollSubmit::Pending`]: the stream's detect waker fires when a
     /// later flush or finish resolves the ticket; re-poll with
-    /// [`Self::poll_pending`]). Protocol violations are the same checked
-    /// errors as the blocking path.
+    /// [`Self::poll_pending`]. One ticket per stream may be outstanding;
+    /// protocol violations are checked errors ([`SubmitError`]).
     pub fn poll_submit_exec(
         &self,
         stream: usize,
@@ -454,7 +339,7 @@ impl DetectorBatcher {
     /// the flush watermark, so remaining streams keep batching among
     /// themselves. If the stream still had a ticket pending (its stage
     /// died mid-submit), the ticket is discarded — never flushed or
-    /// charged — and the blocked submitter is woken with
+    /// charged — and the parked submitter is woken to poll
     /// [`SubmitError::Interrupted`].
     pub fn finish(&self, stream: usize) {
         let mut st = self.state.lock();
@@ -496,10 +381,6 @@ impl DetectorBatcher {
             }
         }
         self.flush_if_ready(&mut st);
-        // Wake waiters unconditionally: the interrupted submitter (if
-        // any) must observe its discarded ticket even when no round
-        // flushed, and remaining streams re-check the watermark.
-        self.flushed.notify_all();
         drop(st);
         if let Some(w) = interrupted_waker {
             w.wake();
@@ -523,7 +404,7 @@ impl DetectorBatcher {
 
     /// Flush one round if every live stream has a pending ticket (and
     /// at least one ticket exists). Must be called with the state lock
-    /// held; wakes all blocked submitters.
+    /// held; wakes every member stream's detect task.
     fn flush_if_ready(&self, st: &mut BatchState) {
         let ready = st
             .tickets
@@ -623,7 +504,6 @@ impl DetectorBatcher {
             launch_seconds,
         });
         st.rounds += 1;
-        self.flushed.notify_all();
         // Task engine: a member stream's detect task may be parked on
         // its now-resolved ticket. Waking under the batcher lock is safe
         // (the pool's wake path never takes this lock) and a wake racing
@@ -649,40 +529,7 @@ impl<'a> StreamGuard<'a> {
         StreamGuard { batcher, stream }
     }
 
-    /// Submit through the guard (same as the batcher's `submit`).
-    pub fn submit(&self, sizes: Vec<(u32, u32)>) -> Result<(), SubmitError> {
-        self.batcher.submit(self.stream, sizes)
-    }
-
-    /// Submit with frame identity for the round log (same as the
-    /// batcher's `submit_tagged`).
-    pub fn submit_tagged(
-        &self,
-        sizes: Vec<(u32, u32)>,
-        clip: usize,
-        ordinal: usize,
-        pixel_seconds: f64,
-    ) -> Result<(), SubmitError> {
-        self.batcher
-            .submit_tagged(self.stream, sizes, clip, ordinal, pixel_seconds)
-    }
-
-    /// Submit with window input tensors for batched surrogate execution
-    /// (same as the batcher's `submit_exec`).
-    pub fn submit_exec(
-        &self,
-        sizes: Vec<(u32, u32)>,
-        inputs: Vec<Tensor3>,
-        clip: usize,
-        ordinal: usize,
-        pixel_seconds: f64,
-    ) -> Result<Vec<Tensor3>, SubmitError> {
-        self.batcher
-            .submit_exec(self.stream, sizes, inputs, clip, ordinal, pixel_seconds)
-    }
-
-    /// Non-blocking submit for pollable detect tasks (same as the
-    /// batcher's `poll_submit_exec`).
+    /// Submit a ticket (same as the batcher's `poll_submit_exec`).
     pub fn poll_submit_exec(
         &self,
         sizes: Vec<(u32, u32)>,
@@ -715,11 +562,41 @@ mod tests {
 
     const CALL: f64 = 1.0;
 
+    /// Submit a ticket and spin on `poll_pending` until its round
+    /// flushes: the rendezvous a thread-per-stream test needs.
+    fn submit_exec(
+        b: &DetectorBatcher,
+        stream: usize,
+        sizes: Vec<(u32, u32)>,
+        inputs: Vec<Tensor3>,
+        clip: usize,
+        ordinal: usize,
+        pixel_seconds: f64,
+    ) -> Result<Vec<Tensor3>, SubmitError> {
+        let mut poll = b.poll_submit_exec(stream, sizes, inputs, clip, ordinal, pixel_seconds);
+        loop {
+            match poll? {
+                PollSubmit::Ready(outputs) => return Ok(outputs),
+                PollSubmit::Pending => thread::yield_now(),
+            }
+            poll = b.poll_pending(stream);
+        }
+    }
+
+    /// [`submit_exec`] with no inputs and no frame identity.
+    fn submit(
+        b: &DetectorBatcher,
+        stream: usize,
+        sizes: Vec<(u32, u32)>,
+    ) -> Result<(), SubmitError> {
+        submit_exec(b, stream, sizes, Vec::new(), Ticket::UNTAGGED, 0, 0.0).map(|_| ())
+    }
+
     #[test]
     fn single_stream_charges_per_distinct_size_per_round() {
         let ledger = CostLedger::new();
         let b = DetectorBatcher::new(1, CALL, 16, ledger.clone());
-        b.submit(0, vec![(64, 64), (64, 64), (128, 96)]).unwrap();
+        submit(&b, 0, vec![(64, 64), (64, 64), (128, 96)]).unwrap();
         b.finish(0);
         // one round: two distinct sizes → two batch charges
         assert_eq!(b.rounds(), 1);
@@ -739,7 +616,7 @@ mod tests {
             let b = Arc::clone(&b);
             handles.push(thread::spawn(move || {
                 for _ in 0..frames {
-                    b.submit(stream, vec![(64, 64)]).unwrap();
+                    submit(&b, stream, vec![(64, 64)]).unwrap();
                 }
                 b.finish(stream);
             }));
@@ -764,7 +641,7 @@ mod tests {
             let b = Arc::clone(&b);
             handles.push(thread::spawn(move || {
                 for _ in 0..frames {
-                    b.submit(stream, vec![(32, 32)]).unwrap();
+                    submit(&b, stream, vec![(32, 32)]).unwrap();
                 }
                 b.finish(stream);
             }));
@@ -781,7 +658,7 @@ mod tests {
     fn max_batch_splits_oversized_groups() {
         let ledger = CostLedger::new();
         let b = DetectorBatcher::new(1, CALL, 4, ledger.clone());
-        b.submit(0, vec![(64, 64); 10]).unwrap();
+        submit(&b, 0, vec![(64, 64); 10]).unwrap();
         b.finish(0);
         // 10 windows in chunks of ≤4 → 3 batches (4+4+2)
         let stats = ledger.batch_stats();
@@ -800,7 +677,7 @@ mod tests {
             // stream 0
         });
         h.join().unwrap();
-        b.submit(0, vec![(64, 64)]).unwrap();
+        submit(&b, 0, vec![(64, 64)]).unwrap();
         b.finish(0);
         assert_eq!(b.rounds(), 1);
         assert_eq!(ledger.batch_stats().batches, 1);
@@ -811,11 +688,11 @@ mod tests {
         let b = DetectorBatcher::new(2, CALL, 16, CostLedger::new());
         b.finish(1);
         assert_eq!(
-            b.submit(1, vec![(64, 64)]),
+            submit(&b, 1, vec![(64, 64)]),
             Err(SubmitError::Finished { stream: 1 })
         );
         // the healthy stream is unaffected
-        b.submit(0, vec![(64, 64)]).unwrap();
+        submit(&b, 0, vec![(64, 64)]).unwrap();
         assert_eq!(b.rounds(), 1);
     }
 
@@ -824,18 +701,18 @@ mod tests {
         let b = Arc::new(DetectorBatcher::new(2, CALL, 16, CostLedger::new()));
         let b2 = Arc::clone(&b);
         // stream 1 blocks with a pending ticket (stream 0 has none yet)
-        let h = thread::spawn(move || b2.submit(1, vec![(32, 32)]));
+        let h = thread::spawn(move || submit(&b2, 1, vec![(32, 32)]));
         while b.state.lock().tickets[1].is_none() {
             thread::yield_now();
         }
         // a second submit for stream 1 must be rejected, not corrupt the
         // pending ticket
         assert_eq!(
-            b.submit(1, vec![(64, 64)]),
+            submit(&b, 1, vec![(64, 64)]),
             Err(SubmitError::TicketPending { stream: 1 })
         );
         // releasing the watermark flushes the original ticket
-        b.submit(0, vec![(32, 32)]).unwrap();
+        submit(&b, 0, vec![(32, 32)]).unwrap();
         assert_eq!(h.join().unwrap(), Ok(()));
         assert_eq!(b.rounds(), 1);
     }
@@ -850,7 +727,7 @@ mod tests {
         let b = Arc::new(DetectorBatcher::new(3, CALL, 16, ledger.clone()));
         let b2 = Arc::clone(&b);
         // stream 2's submitter blocks: streams 0 and 1 have no tickets
-        let blocked = thread::spawn(move || b2.submit(2, vec![(99, 99)]));
+        let blocked = thread::spawn(move || submit(&b2, 2, vec![(99, 99)]));
         while b.state.lock().tickets[2].is_none() {
             thread::yield_now();
         }
@@ -868,7 +745,7 @@ mod tests {
             let b = Arc::clone(&b);
             handles.push(thread::spawn(move || {
                 for _ in 0..3 {
-                    b.submit(stream, vec![(64, 64)]).unwrap();
+                    submit(&b, stream, vec![(64, 64)]).unwrap();
                 }
                 b.finish(stream);
             }));
@@ -895,7 +772,7 @@ mod tests {
                     for f in 0..6usize {
                         // deterministic per-stream size sequence
                         let size = (32 * (1 + ((f + stream) % 2) as u32), 32);
-                        b.submit(stream, vec![size; 1 + (f % 3)]).unwrap();
+                        submit(&b, stream, vec![size; 1 + (f % 3)]).unwrap();
                     }
                     b.finish(stream);
                 }));
@@ -920,7 +797,7 @@ mod tests {
         let b = Arc::new(DetectorBatcher::new(2, CALL, 16, ledger.clone()));
         let b2 = Arc::clone(&b);
         // stream 1 blocks with a 7-window ticket; stream 0 never submits
-        let blocked = thread::spawn(move || b2.submit(1, vec![(64, 64); 7]));
+        let blocked = thread::spawn(move || submit(&b2, 1, vec![(64, 64); 7]));
         while b.state.lock().tickets[1].is_none() {
             thread::yield_now();
         }
@@ -930,8 +807,8 @@ mod tests {
             Err(SubmitError::Interrupted { stream: 1 })
         );
         // stream 0 then flushes two clean 2-window rounds on its own
-        b.submit(0, vec![(32, 32); 2]).unwrap();
-        b.submit(0, vec![(32, 32); 2]).unwrap();
+        submit(&b, 0, vec![(32, 32); 2]).unwrap();
+        submit(&b, 0, vec![(32, 32); 2]).unwrap();
         b.finish(0);
         let stats = ledger.batch_stats();
         assert_eq!(stats.discarded_tickets, 1);
@@ -984,7 +861,7 @@ mod tests {
             })
             .collect();
         let h = thread::spawn(move || {
-            let out = b2.submit_exec(1, s1, inputs1, 0, 0, 0.0).unwrap();
+            let out = submit_exec(&b2, 1, s1, inputs1, 0, 0, 0.0).unwrap();
             b2.finish(1);
             out
         });
@@ -997,7 +874,7 @@ mod tests {
                 y
             })
             .collect();
-        let out0 = b.submit_exec(0, sizes0, inputs0, 0, 0, 0.0).unwrap();
+        let out0 = submit_exec(&b, 0, sizes0, inputs0, 0, 0, 0.0).unwrap();
         b.finish(0);
         let out1 = h.join().unwrap();
         // outputs arrive per stream, in window order, bitwise equal to
@@ -1022,9 +899,7 @@ mod tests {
     #[test]
     fn exec_off_returns_no_outputs() {
         let b = DetectorBatcher::new(1, CALL, 16, CostLedger::new());
-        let out = b
-            .submit_exec(0, vec![(64, 64)], Vec::new(), 0, 0, 0.0)
-            .unwrap();
+        let out = submit_exec(&b, 0, vec![(64, 64)], Vec::new(), 0, 0, 0.0).unwrap();
         assert!(out.is_empty());
         b.finish(0);
     }
@@ -1033,8 +908,8 @@ mod tests {
     fn round_log_records_members_and_launch() {
         let ledger = CostLedger::new();
         let b = DetectorBatcher::new(1, CALL, 4, ledger.clone());
-        b.submit_tagged(0, vec![(64, 64); 6], 3, 0, 1.5).unwrap();
-        b.submit(0, vec![(32, 32)]).unwrap();
+        submit_exec(&b, 0, vec![(64, 64); 6], Vec::new(), 3, 0, 1.5).unwrap();
+        submit(&b, 0, vec![(32, 32)]).unwrap();
         b.finish(0);
         let log = b.round_log();
         assert_eq!(log.len(), 2);

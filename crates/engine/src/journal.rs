@@ -10,12 +10,11 @@
 //! ```
 //!
 //! Every clip that completes is *checkpointed*: its track payload is
-//! written via tmp + fsync + atomic rename into `clips/`, and only then
-//! is one checksummed [`ClipRecord`] line appended to `journal.log` —
-//! the append is the acknowledgement point, exactly the discipline of
-//! `otif-serve::journal` (and the same `<16-hex FNV-1a> <JSON>\n` line
-//! format). Because the payload is in place before its record is
-//! durable, every valid journal record refers to a recoverable payload.
+//! committed into `clips/`, and only then is one checksummed
+//! [`ClipRecord`] line appended to `journal.log` — the acknowledgement
+//! point of the durability layer shared with the track store
+//! ([`otif_core::durable`], DESIGN.md §13). Every valid journal record
+//! therefore refers to a recoverable payload.
 //!
 //! Unlike the store's ingest journal, run-journal records are keyed by
 //! **clip index**, not by a dense id sequence: the track stages of
@@ -39,13 +38,14 @@
 //! an uninterrupted run produces.
 
 use crate::timeline::ClipTimeline;
+use otif_core::durable::{self, Line};
 use otif_core::fnv1a;
 use otif_cv::{Component, CostLedger};
 use otif_track::Track;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::io::{self, Write as _};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,61 +57,60 @@ pub const RUN_MANIFEST_FILE: &str = "manifest.json";
 /// Subdirectory holding checkpointed track payloads.
 pub const RUN_CLIPS_DIR: &str = "clips";
 
-/// The run directory's filesystem seam. A minimal mirror of
+/// The run directory's filesystem seam — the engine-side twin of
 /// `otif-serve`'s `StoreIo` (the engine cannot depend on the serving
-/// tier); the chaos bench adapts the serve tier's `FaultyIo` onto this
-/// trait to reuse its deterministic `(operation, ordinal)` fault plans.
+/// tier), with `io::Error` in place of the store's typed errors. Every
+/// method defaults to the real filesystem through
+/// [`otif_core::durable`]; a wrapper overrides what it intercepts. The
+/// chaos bench adapts the serve tier's `FaultyIo` onto this trait to
+/// reuse its deterministic `(operation, ordinal)` fault plans.
 pub trait RunIo: Send + Sync {
     /// Read a whole file.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Create/truncate `path`, write `bytes`, fsync.
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Atomically rename `from` to `to`.
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Append `bytes` to `path` (creating it if needed), fsync.
-    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Create a directory and all parents.
-    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-    /// Whether `path` exists.
-    fn exists(&self, path: &Path) -> bool;
-}
-
-/// The production [`RunIo`]: real filesystem, durable writes (fsync
-/// after write/append) and atomic renames.
-#[derive(Debug, Default)]
-pub struct RealRunIo;
-
-impl RunIo for RealRunIo {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
+        durable::read(path)
     }
-
+    /// Create/truncate `path`, write `bytes`, fsync.
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(bytes)?;
-        f.sync_all()
+        durable::write(path, bytes)
     }
-
+    /// Atomically rename `from` to `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
+        durable::rename(from, to)
     }
-
+    /// Append `bytes` to `path` (creating it if needed), fsync.
     fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        f.write_all(bytes)?;
-        f.sync_all()
+        durable::append(path, bytes)
     }
-
+    /// Create a directory and all parents.
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(path)
+        durable::create_dir_all(path)
     }
-
+    /// Whether `path` exists.
     fn exists(&self, path: &Path) -> bool {
         path.exists()
     }
+    /// Fsync a directory, making renames and file creations in it
+    /// durable.
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        durable::sync_dir(dir)
+    }
+}
+
+/// The production [`RunIo`]: the real filesystem, through the trait's
+/// [`otif_core::durable`] defaults.
+#[derive(Debug, Default)]
+pub struct RealRunIo;
+
+impl RunIo for RealRunIo {}
+
+/// Durably replace `path` with `bytes`: tmp write + fsync, atomic
+/// rename, then an fsync of the directory so the rename survives a
+/// crash.
+fn commit(io: &dyn RunIo, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = durable::tmp_path(path);
+    io.write(&tmp, bytes)?;
+    io.rename(&tmp, path)?;
+    io.sync_dir(durable::parent_dir(path))
 }
 
 /// Run identity, persisted as `manifest.json`. A resume must present a
@@ -227,23 +226,11 @@ impl ClipRecord {
     }
 }
 
-/// Encode one journal record (checksum + body + newline) — the same
-/// line discipline as the store's ingest journal.
+/// Encode one journal record as a checksummed durable line.
 pub fn encode_record(record: &ClipRecord) -> io::Result<Vec<u8>> {
     let body = serde_json::to_string(record)
         .map_err(|e| io::Error::other(format!("run-journal encode: {e}")))?;
-    Ok(format!("{:016x} {}\n", fnv1a(body.as_bytes()), body).into_bytes())
-}
-
-/// Decode one record line (without its newline) into a [`ClipRecord`].
-fn decode_line(line: &str) -> Option<ClipRecord> {
-    let (sum, body) = line.split_at_checked(16)?;
-    let body = body.strip_prefix(' ')?;
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    if sum != fnv1a(body.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(body).ok()
+    Ok(durable::encode_line(&body))
 }
 
 /// Outcome of replaying run-journal bytes.
@@ -279,25 +266,16 @@ impl RunReplay {
 /// skipped.
 pub fn replay(bytes: &[u8]) -> RunReplay {
     let mut out = RunReplay::default();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-            out.torn_tail = true; // unterminated final line: torn append
-            break;
-        };
-        let line = &rest[..nl];
-        let last = pos + nl + 1 >= bytes.len();
-        pos += nl + 1;
-        match std::str::from_utf8(line).ok().and_then(decode_line) {
-            Some(record) => match out.records.entry(record.clip) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
+    for (line, _) in durable::scan(bytes, |body| serde_json::from_str::<ClipRecord>(body).ok()) {
+        match line {
+            Line::Valid(record) => match out.records.entry(record.clip) {
+                Entry::Vacant(slot) => {
                     slot.insert(record);
                 }
-                std::collections::btree_map::Entry::Occupied(_) => out.duplicates += 1,
+                Entry::Occupied(_) => out.duplicates += 1,
             },
-            None if last => out.torn_tail = true,
-            None => out.invalid_records += 1,
+            Line::Invalid => out.invalid_records += 1,
+            Line::TornTail => out.torn_tail = true,
         }
     }
     out
@@ -336,10 +314,11 @@ impl RunJournal {
         io.create_dir_all(&dir.join(RUN_CLIPS_DIR))?;
         let json = serde_json::to_string_pretty(manifest)
             .map_err(|e| io::Error::other(format!("manifest encode: {e}")))?;
-        let tmp = dir.join(format!("{RUN_MANIFEST_FILE}.tmp"));
-        io.write(&tmp, json.as_bytes())?;
-        io.rename(&tmp, &dir.join(RUN_MANIFEST_FILE))?;
+        commit(&*io, &dir.join(RUN_MANIFEST_FILE), json.as_bytes())?;
         io.append(&journal_path, b"")?;
+        // the new journal's entry, then the run directory's own
+        io.sync_dir(dir)?;
+        io.sync_dir(durable::parent_dir(dir))?;
         Ok(RunJournal {
             dir: dir.to_path_buf(),
             io,
@@ -382,17 +361,17 @@ impl RunJournal {
         ))
     }
 
-    /// Durably checkpoint one completed clip: payload tmp + fsync +
-    /// rename into `clips/`, then the checksummed journal append — the
+    /// Durably checkpoint one completed clip: payload commit into
+    /// `clips/`, then the checksummed journal append — the
     /// acknowledgement point.
     pub fn checkpoint(&self, record: &ClipRecord, tracks_json: &str) -> io::Result<()> {
         let line = encode_record(record)?;
         let _serialize = self.commit.lock();
-        let clips_dir = self.dir.join(RUN_CLIPS_DIR);
-        let path = clips_dir.join(clip_file_name(record.clip));
-        let tmp = clips_dir.join(format!("{}.tmp", clip_file_name(record.clip)));
-        self.io.write(&tmp, tracks_json.as_bytes())?;
-        self.io.rename(&tmp, &path)?;
+        let path = self
+            .dir
+            .join(RUN_CLIPS_DIR)
+            .join(clip_file_name(record.clip));
+        commit(&*self.io, &path, tracks_json.as_bytes())?;
         self.io.append(&self.dir.join(RUN_JOURNAL_FILE), &line)
     }
 
@@ -428,11 +407,6 @@ impl RunJournal {
             out[idx] = Some((record.clone(), tracks));
         }
         out
-    }
-
-    /// The run directory this journal writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -560,18 +534,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_replays_all_records() {
-        let bytes = journal_bytes(&[0, 1, 2]);
-        let r = replay(&bytes);
-        assert!(r.clean());
-        assert_eq!(r.records.len(), 3);
-        for (i, (k, rec)) in r.records.iter().enumerate() {
-            assert_eq!(*k, i);
-            assert_eq!(rec, &record(i));
-        }
-    }
-
-    #[test]
     fn replay_is_order_insensitive_and_duplicate_tolerant() {
         let shuffled = journal_bytes(&[2, 0, 1, 0, 2]);
         let r = replay(&shuffled);
@@ -579,17 +541,6 @@ mod tests {
         assert_eq!(r.duplicates, 2);
         assert_eq!(r.records.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(r.records[&1], record(1));
-    }
-
-    #[test]
-    fn torn_tail_is_detected_and_ignored() {
-        let mut bytes = journal_bytes(&[0, 1]);
-        let extra = encode_record(&record(2)).unwrap();
-        bytes.extend_from_slice(&extra[..extra.len() / 2]);
-        let r = replay(&bytes);
-        assert!(r.torn_tail);
-        assert_eq!(r.invalid_records, 0);
-        assert_eq!(r.records.len(), 2);
     }
 
     #[test]

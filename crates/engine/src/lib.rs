@@ -61,8 +61,7 @@ pub use journal::{
     ClipRecord, FrameRecord, RealRunIo, RunIo, RunJournal, RunManifest, RunReplay, RUN_CLIPS_DIR,
     RUN_JOURNAL_FILE, RUN_MANIFEST_FILE,
 };
-pub use scheduler::{
-    retry_backoff, run_manifest, ClipOutcome, Engine, EngineOptions, EngineRun, RunSession,
-};
+pub use otif_core::durable::retry_backoff;
+pub use scheduler::{run_manifest, ClipOutcome, Engine, EngineOptions, EngineRun, RunSession};
 pub use stats::{EngineCounters, EngineStats, FailedClip, StageSeconds, StreamStatus};
 pub use timeline::StallSeconds;

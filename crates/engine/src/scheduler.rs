@@ -50,6 +50,7 @@ use crate::stats::{EngineCounters, EngineStats, FailedClip, StreamStatus};
 use crate::tasks::{decode_task, detect_task, track_task, window_task};
 use crate::timeline::{self, ClipTimeline};
 use otif_core::config::OtifConfig;
+use otif_core::durable::retry_backoff;
 use otif_core::evalpool::{PollTask, TaskPool};
 use otif_core::pipeline::ExecutionContext;
 use otif_core::{fnv1a, fold_digest, Pipeline, WindowNet, DIGEST_SEED};
@@ -179,14 +180,6 @@ fn resolve_max_active(requested: usize, streams: usize) -> usize {
     } else {
         requested.clamp(1, streams)
     }
-}
-
-/// The deterministic retry backoff schedule: attempt `attempt`
-/// (0-based) waits `base * 2^attempt` virtual seconds. Pure — the same
-/// (base, attempt) always yields the same delay, so retry accounting is
-/// reproducible run-to-run.
-pub fn retry_backoff(base: f64, attempt: u32) -> f64 {
-    base * f64::from(2u32.saturating_pow(attempt))
 }
 
 /// The result of one clip in an engine run.

@@ -1,25 +1,27 @@
 //! The store's filesystem seam: every byte `TrackStore` reads or
 //! writes flows through one injectable [`StoreIo`] implementation.
 //!
-//! Production uses [`RealIo`] (durable writes: create + write + fsync,
-//! atomic renames). Tests and the robustness bench wrap it in
-//! [`FaultyIo`], which injects a deterministic [`StoreFaultPlan`]
-//! addressed by `(operation, ordinal)` — the store-side analogue of the
-//! engine's `FaultPlan` from PR 3. Because the store performs its I/O
-//! operations in a fixed order per ingest, a plan perturbs the exact
-//! same point of the computation on every run: torn writes, failed
-//! renames, read errors, transient read errors (for retry testing) and
-//! hard crash points are all reproducible.
+//! Production uses [`RealIo`], which delegates to the shared
+//! durability layer ([`otif_core::durable`]: fsynced writes and
+//! appends, atomic renames, directory fsyncs). Tests and the robustness
+//! bench wrap it in [`FaultyIo`], which injects a deterministic
+//! [`StoreFaultPlan`] addressed by `(operation, ordinal)` — the
+//! store-side analogue of the engine's `FaultPlan`. Because the store
+//! performs its I/O operations in a fixed order per ingest, a plan
+//! perturbs the exact same point of the computation on every run: torn
+//! writes, failed renames, read errors, transient read errors (for
+//! retry testing) and hard crash points are all reproducible.
 //!
 //! Errors are typed ([`StoreError`]) so callers can tell corruption
 //! from absence from plain I/O failure — the distinction drives
 //! quarantine, retry and degraded-answer decisions upstream.
 
+use otif_core::durable;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// A typed store failure: I/O, corruption, absence, quarantine or a
 /// store-level invariant violation. Replaces the stringly errors the
@@ -127,15 +129,6 @@ impl StoreOp {
             StoreOp::Write => "write",
             StoreOp::Rename => "rename",
             StoreOp::Append => "append",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            StoreOp::Read => 0,
-            StoreOp::Write => 1,
-            StoreOp::Rename => 2,
-            StoreOp::Append => 3,
         }
     }
 }
@@ -268,23 +261,51 @@ impl StoreFaultPlan {
 
 /// The store's filesystem interface. Implementations must be
 /// thread-safe; the store shares one instance across query threads.
+/// Every method defaults to the real filesystem through
+/// [`otif_core::durable`]; a wrapper overrides what it intercepts.
 pub trait StoreIo: Send + Sync {
-    /// Read a whole file.
-    fn read(&self, path: &Path) -> Result<Vec<u8>, StoreError>;
+    /// Read a whole file; a missing file is [`StoreError::Missing`].
+    fn read(&self, path: &Path) -> Result<Vec<u8>, StoreError> {
+        durable::read(path).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => StoreError::Missing {
+                what: path.display().to_string(),
+            },
+            _ => io_err(path, e),
+        })
+    }
     /// Create/truncate `path`, write `bytes`, fsync.
-    fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError>;
+    fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+        durable::write(path, bytes).map_err(|e| io_err(path, e))
+    }
     /// Atomically rename `from` to `to`.
-    fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError>;
+    fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError> {
+        durable::rename(from, to).map_err(|e| io_err(from, e))
+    }
     /// Append `bytes` to `path` (creating it if needed), fsync.
-    fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError>;
+    fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+        durable::append(path, bytes).map_err(|e| io_err(path, e))
+    }
     /// Create a directory and all parents.
-    fn create_dir_all(&self, path: &Path) -> Result<(), StoreError>;
+    fn create_dir_all(&self, path: &Path) -> Result<(), StoreError> {
+        durable::create_dir_all(path).map_err(|e| io_err(path, e))
+    }
     /// Whether `path` exists.
-    fn exists(&self, path: &Path) -> bool;
+    fn exists(&self, path: &Path) -> bool {
+        path.exists()
+    }
     /// Remove a file.
-    fn remove_file(&self, path: &Path) -> Result<(), StoreError>;
+    fn remove_file(&self, path: &Path) -> Result<(), StoreError> {
+        durable::remove_file(path).map_err(|e| io_err(path, e))
+    }
     /// File names (not full paths) inside a directory, sorted.
-    fn list(&self, dir: &Path) -> Result<Vec<String>, StoreError>;
+    fn list(&self, dir: &Path) -> Result<Vec<String>, StoreError> {
+        durable::list(dir).map_err(|e| io_err(dir, e))
+    }
+    /// Fsync a directory, making renames and file creations in it
+    /// durable.
+    fn sync_dir(&self, dir: &Path) -> Result<(), StoreError> {
+        durable::sync_dir(dir).map_err(|e| io_err(dir, e))
+    }
 }
 
 fn io_err(path: &Path, e: impl fmt::Display) -> StoreError {
@@ -294,76 +315,40 @@ fn io_err(path: &Path, e: impl fmt::Display) -> StoreError {
     }
 }
 
-/// The production [`StoreIo`]: real filesystem, durable writes (fsync
-/// after write/append) and atomic renames.
+/// The production [`StoreIo`]: the real filesystem, through the
+/// trait's [`otif_core::durable`] defaults.
 #[derive(Debug, Default)]
 pub struct RealIo;
 
-impl StoreIo for RealIo {
-    fn read(&self, path: &Path) -> Result<Vec<u8>, StoreError> {
-        match std::fs::read(path) {
-            Ok(b) => Ok(b),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(StoreError::Missing {
-                what: path.display().to_string(),
-            }),
-            Err(e) => Err(io_err(path, e)),
-        }
-    }
+impl StoreIo for RealIo {}
 
-    fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        let mut f = std::fs::File::create(path).map_err(|e| io_err(path, e))?;
-        f.write_all(bytes).map_err(|e| io_err(path, e))?;
-        f.sync_all().map_err(|e| io_err(path, e))
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError> {
-        std::fs::rename(from, to).map_err(|e| io_err(from, e))
-    }
-
-    fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err(path, e))?;
-        f.write_all(bytes).map_err(|e| io_err(path, e))?;
-        f.sync_all().map_err(|e| io_err(path, e))
-    }
-
-    fn create_dir_all(&self, path: &Path) -> Result<(), StoreError> {
-        std::fs::create_dir_all(path).map_err(|e| io_err(path, e))
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
-
-    fn remove_file(&self, path: &Path) -> Result<(), StoreError> {
-        std::fs::remove_file(path).map_err(|e| io_err(path, e))
-    }
-
-    fn list(&self, dir: &Path) -> Result<Vec<String>, StoreError> {
-        let mut names = Vec::new();
-        for entry in std::fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
-            let entry = entry.map_err(|e| io_err(dir, e))?;
-            names.push(entry.file_name().to_string_lossy().into_owned());
-        }
-        names.sort();
-        Ok(names)
-    }
+/// A directory entry a power cut would still lose: `to` was renamed
+/// from `from` (replacing `replaced`, if `to` existed) or, with no
+/// `from`, created by `append` — and `to`'s parent has not been
+/// fsynced since.
+struct Unsynced {
+    from: Option<PathBuf>,
+    to: PathBuf,
+    replaced: Option<Vec<u8>>,
 }
 
 /// A [`StoreIo`] wrapper injecting a [`StoreFaultPlan`] over an inner
 /// implementation. Each operation kind counts its invocations; when the
-/// plan addresses the current `(op, ordinal)`, the fault fires. After a
-/// [`StoreFaultKind::Crash`] fires, *every* subsequent operation fails
-/// — the process is dead as far as the store is concerned, and the
-/// directory holds exactly what the completed operations persisted.
+/// plan addresses the current `(op, ordinal)`, the fault fires.
+///
+/// A [`StoreFaultKind::Crash`] models a power cut: every rename and
+/// every `append`-created file whose parent directory has not had a
+/// [`StoreIo::sync_dir`] since is undone (newest first), and *every*
+/// subsequent operation fails — the process is dead as far as the
+/// store is concerned, and the directory holds exactly what the
+/// completed operations made durable. `sync_dir` is not a [`StoreOp`]:
+/// it neither counts toward ordinals nor carries faults.
 pub struct FaultyIo<I: StoreIo> {
     inner: I,
     plan: StoreFaultPlan,
     counters: [AtomicU64; 4],
     crashed: AtomicBool,
+    unsynced: Mutex<Vec<Unsynced>>,
 }
 
 impl<I: StoreIo> FaultyIo<I> {
@@ -374,6 +359,7 @@ impl<I: StoreIo> FaultyIo<I> {
             plan,
             counters: Default::default(),
             crashed: AtomicBool::new(false),
+            unsynced: Mutex::new(Vec::new()),
         }
     }
 
@@ -382,7 +368,7 @@ impl<I: StoreIo> FaultyIo<I> {
     pub fn ops(&self) -> BTreeMap<StoreOp, u64> {
         StoreOp::ALL
             .into_iter()
-            .map(|op| (op, self.counters[op.index()].load(Ordering::Relaxed)))
+            .map(|op| (op, self.counters[op as usize].load(Ordering::Relaxed)))
             .collect()
     }
 
@@ -391,13 +377,18 @@ impl<I: StoreIo> FaultyIo<I> {
         self.crashed.load(Ordering::Relaxed)
     }
 
+    fn alive(&self, path: &Path) -> Result<(), StoreError> {
+        if self.crashed() {
+            return Err(io_err(path, "injected crash: process is dead"));
+        }
+        Ok(())
+    }
+
     /// Count the invocation and decide its fate: `Ok(None)` proceed
     /// normally, `Ok(Some(Torn))` proceed torn, `Err` fail.
     fn gate(&self, op: StoreOp, path: &Path) -> Result<Option<StoreFaultKind>, StoreError> {
-        if self.crashed.load(Ordering::Relaxed) {
-            return Err(io_err(path, "injected crash: process is dead"));
-        }
-        let ordinal = self.counters[op.index()].fetch_add(1, Ordering::Relaxed);
+        self.alive(path)?;
+        let ordinal = self.counters[op as usize].fetch_add(1, Ordering::Relaxed);
         match self.plan.fire(op, ordinal).map(|s| s.kind) {
             None => Ok(None),
             Some(StoreFaultKind::Error) | Some(StoreFaultKind::Transient { .. }) => Err(io_err(
@@ -406,6 +397,7 @@ impl<I: StoreIo> FaultyIo<I> {
             )),
             Some(StoreFaultKind::Crash) => {
                 self.crashed.store(true, Ordering::Relaxed);
+                self.lose_unsynced();
                 Err(io_err(
                     path,
                     format!("injected crash at {op} ordinal {ordinal}"),
@@ -413,6 +405,30 @@ impl<I: StoreIo> FaultyIo<I> {
             }
             Some(StoreFaultKind::Torn) => Ok(Some(StoreFaultKind::Torn)),
         }
+    }
+
+    /// The power cut: undo every directory change no `sync_dir` made
+    /// durable, newest first.
+    fn lose_unsynced(&self) {
+        let lost = std::mem::take(&mut *self.unsynced.lock().unwrap());
+        for Unsynced { from, to, replaced } in lost.into_iter().rev() {
+            // best effort: the process is dead either way
+            let _ = match from {
+                Some(from) => self.inner.rename(&to, &from),
+                None => self.inner.remove_file(&to),
+            };
+            if let Some(bytes) = replaced {
+                let _ = self.inner.write(&to, &bytes);
+            }
+        }
+    }
+
+    fn track(&self, from: Option<&Path>, to: &Path, replaced: Option<Vec<u8>>) {
+        self.unsynced.lock().unwrap().push(Unsynced {
+            from: from.map(Path::to_path_buf),
+            to: to.to_path_buf(),
+            replaced,
+        });
     }
 }
 
@@ -434,27 +450,30 @@ impl<I: StoreIo> StoreIo for FaultyIo<I> {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<(), StoreError> {
-        match self.gate(StoreOp::Rename, from)? {
-            None => self.inner.rename(from, to),
+        if self.gate(StoreOp::Rename, from)?.is_some() {
             // a rename cannot tear — treat as outright failure
-            Some(_) => Err(io_err(from, "injected rename failure")),
+            return Err(io_err(from, "injected rename failure"));
         }
+        let replaced = self.inner.read(to).ok();
+        self.inner.rename(from, to)?;
+        self.track(Some(from), to, replaced);
+        Ok(())
     }
 
     fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        match self.gate(StoreOp::Append, path)? {
-            None => self.inner.append(path, bytes),
-            Some(_) => {
-                self.inner.append(path, &bytes[..bytes.len() / 2])?;
-                Err(io_err(path, "injected torn append"))
-            }
+        let torn = self.gate(StoreOp::Append, path)?.is_some();
+        if !self.inner.exists(path) {
+            self.track(None, path, None);
         }
+        if torn {
+            self.inner.append(path, &bytes[..bytes.len() / 2])?;
+            return Err(io_err(path, "injected torn append"));
+        }
+        self.inner.append(path, bytes)
     }
 
     fn create_dir_all(&self, path: &Path) -> Result<(), StoreError> {
-        if self.crashed.load(Ordering::Relaxed) {
-            return Err(io_err(path, "injected crash: process is dead"));
-        }
+        self.alive(path)?;
         self.inner.create_dir_all(path)
     }
 
@@ -463,14 +482,22 @@ impl<I: StoreIo> StoreIo for FaultyIo<I> {
     }
 
     fn remove_file(&self, path: &Path) -> Result<(), StoreError> {
-        if self.crashed.load(Ordering::Relaxed) {
-            return Err(io_err(path, "injected crash: process is dead"));
-        }
+        self.alive(path)?;
         self.inner.remove_file(path)
     }
 
     fn list(&self, dir: &Path) -> Result<Vec<String>, StoreError> {
         self.inner.list(dir)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> Result<(), StoreError> {
+        self.alive(dir)?;
+        self.inner.sync_dir(dir)?;
+        self.unsynced
+            .lock()
+            .unwrap()
+            .retain(|change| durable::parent_dir(&change.to) != dir);
+        Ok(())
     }
 }
 
@@ -519,15 +546,34 @@ mod tests {
     }
 
     #[test]
-    fn crash_kills_all_subsequent_operations() {
-        let dir = tmp("crash");
-        let io = FaultyIo::new(RealIo, StoreFaultPlan::crash_at(StoreOp::Append, 1));
+    fn crash_undoes_directory_changes_no_sync_dir_covered() {
+        let dir = tmp("power-cut");
+        let io = FaultyIo::new(RealIo, StoreFaultPlan::crash_at(StoreOp::Write, 3));
+        let (synced, unsynced) = (dir.join("synced"), dir.join("unsynced"));
+        // a synced rename survives
+        io.write(&dir.join("a.tmp"), b"a").unwrap();
+        io.rename(&dir.join("a.tmp"), &synced).unwrap();
+        io.sync_dir(&dir).unwrap();
+        // an unsynced rename over an existing file, an unsynced rename
+        // to a new name and an unsynced append-created file are undone
+        io.write(&dir.join("b.tmp"), b"b").unwrap();
+        io.rename(&dir.join("b.tmp"), &synced).unwrap();
+        io.write(&dir.join("c.tmp"), b"c").unwrap();
+        io.rename(&dir.join("c.tmp"), &unsynced).unwrap();
         io.append(&dir.join("j"), b"one\n").unwrap();
-        assert!(io.append(&dir.join("j"), b"two\n").is_err());
-        assert!(io.crashed());
-        assert!(io.read(&dir.join("j")).is_err(), "reads die after crash");
         assert!(io.write(&dir.join("x"), b"x").is_err());
-        assert_eq!(std::fs::read(dir.join("j")).unwrap(), b"one\n");
+        assert!(io.crashed());
+        // the process is dead: every later operation fails
+        assert!(io.read(&synced).is_err());
+        assert!(io.append(&dir.join("j"), b"two\n").is_err());
+        assert!(io.sync_dir(&dir).is_err());
+        assert_eq!(std::fs::read(&synced).unwrap(), b"a");
+        assert_eq!(std::fs::read(dir.join("b.tmp")).unwrap(), b"b");
+        assert_eq!(std::fs::read(dir.join("c.tmp")).unwrap(), b"c");
+        assert!(!unsynced.exists());
+        assert!(!dir.join("j").exists());
+        // sync_dir is not a counted operation
+        assert_eq!(io.ops()[&StoreOp::Rename], 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

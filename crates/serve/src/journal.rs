@@ -1,40 +1,33 @@
 //! The store's append-only ingest journal — the durability commit
 //! point.
 //!
-//! Every ingest appends exactly one record to `journal.log` *after* the
-//! clip payload file is durably in place (tmp write + fsync + atomic
-//! rename). A record is one line:
-//!
-//! ```text
-//! <16 hex chars: FNV-1a of body> <body: ClipMeta as JSON>\n
-//! ```
-//!
-//! The checksum makes torn appends self-detecting: a crash mid-append
-//! leaves a trailing line whose checksum cannot match (or no newline at
-//! all), and [`replay`] classifies it as a *torn tail* — expected
-//! crash debris, truncated by `store-fsck --repair`, never data loss.
-//! Because the clip file is renamed into place before its record is
-//! appended, every valid journal record refers to a clip file that
-//! exists on disk: an acknowledged ingest (journal append returned Ok)
-//! can always be recovered by replaying the journal, which is the
-//! zero-acknowledged-loss invariant the robustness bench sweeps.
+//! Every ingest appends exactly one record, the clip's [`ClipMeta`] as
+//! a checksummed line of the shared durability layer
+//! ([`otif_core::durable`], DESIGN.md §13), *after* the clip payload is
+//! durably committed — so every valid record refers to a clip file on
+//! disk, and an acknowledged ingest (append returned Ok) is always
+//! recoverable by replay. The replay *policy* is the store's own: ids
+//! are dense, so [`replay`] keeps the valid prefix `0..n` and distrusts
+//! everything after the first bad record; a torn tail is crash debris,
+//! truncated by `store-fsck --repair`, never data loss.
 //!
 //! `catalog.json` is demoted to a rewritable *checkpoint* of the same
 //! entries — convenient for tools, never authoritative: `open()`
 //! replays the journal when one exists.
 
 use crate::io::StoreError;
-use crate::store::{fnv1a, ClipMeta};
+use crate::store::ClipMeta;
+use otif_core::durable::{self, Line};
 
 /// File name of the ingest journal inside a store directory.
 pub const JOURNAL_FILE: &str = "journal.log";
 
-/// Encode one journal record (checksum + body + newline).
+/// Encode one journal record as a checksummed durable line.
 pub fn encode_record(meta: &ClipMeta) -> Result<Vec<u8>, StoreError> {
     let body = serde_json::to_string(meta).map_err(|e| StoreError::Invalid {
         detail: format!("journal encode: {e}"),
     })?;
-    Ok(format!("{:016x} {}\n", fnv1a(body.as_bytes()), body).into_bytes())
+    Ok(durable::encode_line(&body))
 }
 
 /// Outcome of replaying journal bytes: the valid record prefix plus a
@@ -62,17 +55,6 @@ impl JournalReplay {
     }
 }
 
-/// Decode one record line (without its newline) into a [`ClipMeta`].
-fn decode_line(line: &str) -> Option<ClipMeta> {
-    let (sum, body) = line.split_at_checked(16)?;
-    let body = body.strip_prefix(' ')?;
-    let sum = u64::from_str_radix(sum, 16).ok()?;
-    if sum != fnv1a(body.as_bytes()) {
-        return None;
-    }
-    serde_json::from_str(body).ok()
-}
-
 /// Replay raw journal bytes. Reading stops being "valid prefix" at the
 /// first bad record; a bad *final* line with no records after it is a
 /// torn tail (crash debris), anything else bad counts as an invalid
@@ -81,36 +63,21 @@ fn decode_line(line: &str) -> Option<ClipMeta> {
 /// up to the gap as valid with the rest invalid.
 pub fn replay(bytes: &[u8]) -> JournalReplay {
     let mut out = JournalReplay::default();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-            // unterminated final line: torn append
-            out.torn_tail = true;
-            break;
-        };
-        let line = &rest[..nl];
-        let decoded = std::str::from_utf8(line).ok().and_then(decode_line);
-        match decoded {
-            Some(meta) if meta.id == out.entries.len() => {
+    for (line, end) in durable::scan(bytes, |body| serde_json::from_str::<ClipMeta>(body).ok()) {
+        match line {
+            Line::Valid(meta) if meta.id == out.entries.len() => {
                 out.entries.push(meta);
-                pos += nl + 1;
-                out.valid_bytes = pos;
+                out.valid_bytes = end;
             }
+            // a bad final line: a torn append (possibly one that landed
+            // its newline inside the half-written bytes)
+            _ if end == bytes.len() => {
+                out.torn_tail = true;
+                break;
+            }
+            // a bad mid-journal record; everything after it is untrusted
             _ => {
-                if pos + nl + 1 >= bytes.len() {
-                    // bad but final line: a torn append that happened
-                    // to land a newline inside the half-written bytes
-                    out.torn_tail = true;
-                } else {
-                    out.invalid_records += 1;
-                    // everything after a mid-journal bad record is
-                    // untrusted
-                    out.invalid_records += bytes[pos + nl + 1..]
-                        .iter()
-                        .filter(|&&b| b == b'\n')
-                        .count();
-                }
+                out.invalid_records = 1 + bytes[end..].iter().filter(|&&b| b == b'\n').count();
                 break;
             }
         }

@@ -70,13 +70,13 @@ pub use cache::{AnswerCache, CacheStats};
 pub use io::{
     FaultyIo, RealIo, StoreError, StoreFaultKind, StoreFaultPlan, StoreFaultSpec, StoreIo, StoreOp,
 };
+pub use otif_core::durable::retry_backoff;
 pub use query::{Answer, ServeQuery};
 pub use server::{
     CacheMode, OverloadPolicy, QueryOutcome, QueryServer, ServeError, ServeOptions, ServeStats,
 };
 pub use store::{
-    fsck, fsck_with, retry_backoff, ClipInfo, ClipMeta, FsckReport, LoadedClip, StoreOptions,
-    TrackStore,
+    fsck, fsck_with, ClipInfo, ClipMeta, FsckReport, LoadedClip, StoreOptions, TrackStore,
 };
 pub use workload::{
     mixed_workload, run_workload, run_workload_traced, LatencyStats, QueryTrace, WorkloadRun,

@@ -11,14 +11,11 @@
 //!   quarantine/           # clip files that failed verification
 //! ```
 //!
-//! Durability model (DESIGN.md §13): an ingest writes the clip payload
-//! to a tmp file, fsyncs, atomically renames it into `clips/`, and only
-//! then appends a checksummed record to the journal — the append is the
-//! acknowledgement point. Because the payload is in place before its
-//! record is durable, every valid journal record refers to an existing
-//! clip file: a crash at *any* intermediate step loses only the
-//! unacknowledged ingest (recoverable debris that [`fsck`] removes),
-//! never an acknowledged one. `catalog.json` is a best-effort
+//! Durability model (DESIGN.md §13): an ingest commits the clip payload
+//! into `clips/`, then appends its journal record — the
+//! acknowledgement point. A crash at *any* intermediate step loses only
+//! the unacknowledged ingest (recoverable debris that [`fsck`]
+//! removes), never an acknowledged one. `catalog.json` is a best-effort
 //! checkpoint; [`TrackStore::open`] replays the journal whenever one
 //! exists. Every [`TrackStore::load`] re-verifies the payload's FNV-1a
 //! fingerprint against its catalog entry and quarantines mismatches.
@@ -35,6 +32,7 @@
 
 use crate::io::{RealIo, StoreError, StoreIo};
 use crate::journal::{self, JOURNAL_FILE};
+use otif_core::durable::{self, retry_backoff};
 use otif_geom::{GridIndex, Point, Rect};
 use otif_track::Track;
 use serde::{Deserialize, Serialize};
@@ -266,14 +264,30 @@ impl Default for StoreOptions {
     }
 }
 
-/// Deterministic exponential backoff schedule: attempt `k` (0-based)
-/// waits `base * 2^k` virtual seconds.
-pub fn retry_backoff(base: f64, attempt: u32) -> f64 {
-    base * f64::from(2u32.saturating_pow(attempt))
-}
-
 fn clip_file_name(id: usize) -> String {
     format!("clip_{id}.json")
+}
+
+/// Rename `from` to `to` and fsync `to`'s directory, so the rename
+/// survives a crash.
+fn rename_durable(io: &dyn StoreIo, from: &Path, to: &Path) -> Result<(), StoreError> {
+    io.rename(from, to)?;
+    io.sync_dir(durable::parent_dir(to))
+}
+
+/// Durably replace `path` with `bytes`: tmp write + fsync, then
+/// [`rename_durable`].
+fn commit(io: &dyn StoreIo, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let tmp = durable::tmp_path(path);
+    io.write(&tmp, bytes)?;
+    rename_durable(io, &tmp, path)
+}
+
+/// Create `dir` and fsync its parent, so the new entry survives a
+/// crash.
+fn create_dir_durable(io: &dyn StoreIo, dir: &Path) -> Result<(), StoreError> {
+    io.create_dir_all(dir)?;
+    io.sync_dir(durable::parent_dir(dir))
 }
 
 /// Parse `clip_<id>.json` back into an id.
@@ -321,8 +335,11 @@ impl TrackStore {
             }
         }
         io.create_dir_all(&dir.join(CLIPS_DIR))?;
-        // an empty append creates the journal file durably
+        // an empty append creates the journal file; the directory
+        // fsyncs make it, `clips/` and the store directory durable
         io.append(&dir.join(JOURNAL_FILE), b"")?;
+        io.sync_dir(dir)?;
+        io.sync_dir(durable::parent_dir(dir))?;
         let store = TrackStore {
             dir: dir.to_path_buf(),
             io,
@@ -404,15 +421,9 @@ impl TrackStore {
         })
     }
 
-    /// Rewrite the `catalog.json` checkpoint atomically (tmp + rename).
+    /// Rewrite the `catalog.json` checkpoint atomically.
     fn write_checkpoint(&self) -> Result<(), StoreError> {
-        let path = self.dir.join(CATALOG_FILE);
-        let tmp = self.dir.join(format!("{CATALOG_FILE}.tmp"));
-        let json = serde_json::to_string(&self.catalog).map_err(|e| StoreError::Invalid {
-            detail: format!("catalog encode: {e}"),
-        })?;
-        self.io.write(&tmp, json.as_bytes())?;
-        self.io.rename(&tmp, &path)
+        write_catalog(&*self.io, &self.dir, &self.catalog)
     }
 
     fn clip_path(&self, id: usize) -> PathBuf {
@@ -433,11 +444,12 @@ impl TrackStore {
     /// Ingest one clip's extracted tracks (`Engine` / `Pipeline` output
     /// order is preserved). Returns the assigned clip id.
     ///
-    /// Crash consistency: payload tmp-write → fsync → atomic rename,
-    /// *then* the journal append — which is the acknowledgement point.
-    /// `Ok` means the ingest survives any subsequent crash; `Err` means
-    /// it left at most recoverable debris (an orphan tmp or clip file
-    /// with no journal record, removed by [`fsck`]). The checkpoint
+    /// Crash consistency: payload tmp-write → fsync → atomic rename →
+    /// directory fsync, *then* the journal append — which is the
+    /// acknowledgement point. `Ok` means the ingest survives any
+    /// subsequent crash; `Err` means it left at most recoverable debris
+    /// (an orphan tmp or clip file with no journal record, removed by
+    /// [`fsck`]). The checkpoint
     /// rewrite afterwards is best-effort: its failure is swallowed
     /// because the journal already carries the entry.
     pub fn ingest_clip(&mut self, info: &ClipInfo, tracks: &[Track]) -> Result<usize, StoreError> {
@@ -523,13 +535,7 @@ impl TrackStore {
             source,
         };
 
-        let path = self.clip_path(id);
-        let tmp = self
-            .dir
-            .join(CLIPS_DIR)
-            .join(format!("{}.tmp", clip_file_name(id)));
-        self.io.write(&tmp, json.as_bytes())?;
-        self.io.rename(&tmp, &path)?;
+        commit(&*self.io, &self.clip_path(id), json.as_bytes())?;
         self.io.append(
             &self.dir.join(JOURNAL_FILE),
             &journal::encode_record(&meta)?,
@@ -594,14 +600,8 @@ impl TrackStore {
     /// marker survives reopen.
     fn quarantine(&self, id: usize) {
         self.quarantined.lock().unwrap().insert(id);
-        if self
-            .io
-            .create_dir_all(&self.dir.join(QUARANTINE_DIR))
-            .is_ok()
-        {
-            let _ = self
-                .io
-                .rename(&self.clip_path(id), &self.quarantine_path(id));
+        if create_dir_durable(&*self.io, &self.dir.join(QUARANTINE_DIR)).is_ok() {
+            let _ = rename_durable(&*self.io, &self.clip_path(id), &self.quarantine_path(id));
         }
     }
 
@@ -741,6 +741,15 @@ impl FsckReport {
     }
 }
 
+/// Commit `entries` as the `catalog.json` checkpoint of the store at
+/// `dir`.
+fn write_catalog(io: &dyn StoreIo, dir: &Path, entries: &[ClipMeta]) -> Result<(), StoreError> {
+    let json = serde_json::to_string(entries).map_err(|e| StoreError::Invalid {
+        detail: format!("catalog encode: {e}"),
+    })?;
+    commit(io, &dir.join(CATALOG_FILE), json.as_bytes())
+}
+
 /// Check (and with `repair`, fix) a store directory on the real
 /// filesystem. See [`fsck_with`].
 pub fn fsck(dir: &Path, repair: bool) -> Result<FsckReport, StoreError> {
@@ -780,9 +789,7 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
         report.invalid_records = replayed.invalid_records;
         if repair && (replayed.torn_tail || replayed.invalid_records > 0) {
             // keep only the valid prefix (atomic rewrite)
-            let tmp = dir.join(format!("{JOURNAL_FILE}.tmp"));
-            io.write(&tmp, &bytes[..replayed.valid_bytes])?;
-            io.rename(&tmp, &journal_path)?;
+            commit(io, &journal_path, &bytes[..replayed.valid_bytes])?;
             report.torn_tail_truncated = replayed.torn_tail;
         }
         replayed.entries
@@ -795,6 +802,7 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
                 bytes.extend(journal::encode_record(m)?);
             }
             io.append(&journal_path, &bytes)?;
+            io.sync_dir(dir)?;
         }
         checkpoint.clone()
     } else {
@@ -813,8 +821,8 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
             if actual != meta.fingerprint {
                 report.corrupt_quarantined.push(meta.id);
                 if repair {
-                    io.create_dir_all(&qdir)?;
-                    io.rename(&path, &qdir.join(clip_file_name(meta.id)))?;
+                    create_dir_durable(io, &qdir)?;
+                    rename_durable(io, &path, &qdir.join(clip_file_name(meta.id)))?;
                 }
             }
         } else if io.exists(&qdir.join(clip_file_name(meta.id))) {
@@ -834,7 +842,7 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
             }
         }
     }
-    let catalog_tmp = dir.join(format!("{CATALOG_FILE}.tmp"));
+    let catalog_tmp = durable::tmp_path(&catalog_path);
     if io.exists(&catalog_tmp) {
         orphans.push(catalog_tmp);
     }
@@ -853,12 +861,7 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
 
     // bring the checkpoint back in sync with the journal
     if repair && (report.checkpoint_entries != entries.len() || !io.exists(&catalog_path)) {
-        let json = serde_json::to_string(&entries).map_err(|e| StoreError::Invalid {
-            detail: format!("catalog encode: {e}"),
-        })?;
-        let tmp = dir.join(format!("{CATALOG_FILE}.tmp"));
-        io.write(&tmp, json.as_bytes())?;
-        io.rename(&tmp, &catalog_path)?;
+        write_catalog(io, dir, &entries)?;
         report.checkpoint_rewritten = true;
     }
     Ok(report)

@@ -4,6 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== durable syscalls only in otif_core::durable"
+# Renames and fsyncs are the durability protocol (DESIGN.md §13): every
+# one goes through crates/core/src/durable.rs, so a new call site cannot
+# skip the directory fsync that makes a rename survive a crash.
+if grep -rnE 'fs::rename|sync_all|\.append\(true\)' crates src tests --include='*.rs' \
+  | grep -v '^crates/core/src/durable.rs:'; then
+  echo "durable syscalls outside crates/core/src/durable.rs; use otif_core::durable"; exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 

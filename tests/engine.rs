@@ -7,7 +7,10 @@
 use otif::core::pipeline::ExecutionContext;
 use otif::core::{Otif, OtifOptions, Pipeline};
 use otif::cv::{Component, CostLedger, CostModel, DetectorArch, DetectorConfig};
-use otif::engine::{DetectorBatcher, DetectorExec, Engine, EngineOptions, FaultPlan, StageName};
+use otif::engine::batcher::PollSubmit;
+use otif::engine::{
+    DetectorBatcher, DetectorExec, Engine, EngineOptions, FaultPlan, StageName, Ticket,
+};
 use otif::sim::{DatasetConfig, DatasetKind, DatasetScale};
 use otif::track::Track;
 use proptest::prelude::*;
@@ -112,6 +115,16 @@ fn single_stream_engine_cost_is_sequential_cost() {
     }
 }
 
+/// Submit an untagged ticket and spin on `poll_pending` until its
+/// round flushes.
+fn submit(batcher: &DetectorBatcher, stream: usize, sizes: Vec<(u32, u32)>) {
+    let mut poll = batcher.poll_submit_exec(stream, sizes, Vec::new(), Ticket::UNTAGGED, 0, 0.0);
+    while let PollSubmit::Pending = poll.unwrap() {
+        std::thread::yield_now();
+        poll = batcher.poll_pending(stream);
+    }
+}
+
 // The batcher never reorders a stream's submissions: the j-th
 // submission of a stream completes in the j-th round that stream
 // participates in, so the round number observed after each submit is
@@ -136,7 +149,7 @@ proptest! {
                 for f in 0..my_frames {
                     let n = 1 + (f + s + size_salt as usize) % 3;
                     let side = 32 * (1 + ((f + size_salt as usize) % 2) as u32);
-                    batcher.submit(s, vec![(side, side); n]).unwrap();
+                    submit(&batcher, s, vec![(side, side); n]);
                     rounds_seen.push(batcher.rounds());
                 }
                 batcher.finish(s);
