@@ -249,7 +249,7 @@ fn run_crash_point(
     let acked = ingest_until_crash(&dir, Arc::new(FaultyIo::new(RealIo, plan)), clips, tracks);
 
     // recovery happens on the real filesystem: replay the journal,
-    // truncate debris, remove orphans, rebuild the checkpoint
+    // truncate debris, remove orphans
     let report = fsck(&dir, true).expect("fsck --repair");
     assert!(
         report.missing_clips.is_empty(),
@@ -257,7 +257,7 @@ fn run_crash_point(
         op.name(),
         report.missing_clips
     );
-    let repaired = report.repaired;
+    let repaired = !report.healthy();
 
     // a crash before the journal existed leaves an unborn store — legal
     // only when nothing was acknowledged

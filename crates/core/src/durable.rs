@@ -4,9 +4,11 @@
 //! tmp → fsync → rename → directory-fsync commit ([`tmp_path`],
 //! [`sync_dir`]), and the only real-filesystem renames and fsyncs in
 //! the workspace, which `RealRunIo` and `RealIo` delegate to. Each
-//! journal layers only its replay policy on [`scan`].
+//! journal layers only its replay policy on [`scan`], reporting damage
+//! in the shared [`ReplaySummary`].
 
 use crate::fnv1a;
+use serde::Serialize;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -35,6 +37,26 @@ pub enum Line<T> {
     /// The final line, unterminated or failing its checksum or parse:
     /// crash debris from a torn append.
     TornTail,
+}
+
+/// What a journal replay found besides its valid records. Each journal
+/// fills it by its own policy: the run journal skips every bad line,
+/// the store journal stops at the first one.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize)]
+pub struct ReplaySummary {
+    /// Whether the final line is crash debris (see [`Line::TornTail`]).
+    pub torn_tail: bool,
+    /// Mid-journal lines that failed their checksum or parse, or that
+    /// the journal's policy distrusts.
+    pub invalid_records: usize,
+}
+
+impl ReplaySummary {
+    /// Whether the journal is pristine: every byte belongs to a valid
+    /// record.
+    pub fn clean(&self) -> bool {
+        !self.torn_tail && self.invalid_records == 0
+    }
 }
 
 /// Scan journal bytes line by line. `parse` decodes a checksum-valid

@@ -38,7 +38,7 @@
 //! an uninterrupted run produces.
 
 use crate::timeline::ClipTimeline;
-use otif_core::durable::{self, Line};
+use otif_core::durable::{self, Line, ReplaySummary};
 use otif_core::fnv1a;
 use otif_cv::{Component, CostLedger};
 use otif_track::Track;
@@ -241,22 +241,10 @@ pub struct RunReplay {
     /// Valid records that re-acknowledged an already-seen clip (their
     /// content is ignored — replay is idempotent).
     pub duplicates: usize,
-    /// Whether the journal ends in crash debris (a final line that is
-    /// unterminated or fails its checksum).
-    pub torn_tail: bool,
-    /// Complete, newline-terminated mid-journal lines that failed their
-    /// checksum or did not parse. Each invalidates only itself: every
-    /// line is independently checksummed, so later records stay
-    /// trusted.
-    pub invalid_records: usize,
-}
-
-impl RunReplay {
-    /// Whether the journal is pristine: every byte belongs to a valid,
-    /// non-duplicate record.
-    pub fn clean(&self) -> bool {
-        !self.torn_tail && self.invalid_records == 0
-    }
+    /// Torn tail and invalid mid-journal lines. Each invalid line
+    /// invalidates only itself: every line is independently
+    /// checksummed, so later records stay trusted.
+    pub summary: ReplaySummary,
 }
 
 /// Replay raw run-journal bytes: order-insensitive, duplicate-tolerant,
@@ -274,8 +262,8 @@ pub fn replay(bytes: &[u8]) -> RunReplay {
                 }
                 Entry::Occupied(_) => out.duplicates += 1,
             },
-            Line::Invalid => out.invalid_records += 1,
-            Line::TornTail => out.torn_tail = true,
+            Line::Invalid => out.summary.invalid_records += 1,
+            Line::TornTail => out.summary.torn_tail = true,
         }
     }
     out
@@ -537,7 +525,7 @@ mod tests {
     fn replay_is_order_insensitive_and_duplicate_tolerant() {
         let shuffled = journal_bytes(&[2, 0, 1, 0, 2]);
         let r = replay(&shuffled);
-        assert!(r.clean());
+        assert!(r.summary.clean());
         assert_eq!(r.duplicates, 2);
         assert_eq!(r.records.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(r.records[&1], record(1));
@@ -551,9 +539,9 @@ mod tests {
         bytes[rec0 + 20] ^= 0xff; // damage record 1's line
         bytes.extend(encode_record(&record(2)).unwrap());
         let r = replay(&bytes);
-        assert!(!r.clean());
-        assert_eq!(r.invalid_records, 1);
-        assert!(!r.torn_tail);
+        assert!(!r.summary.clean());
+        assert_eq!(r.summary.invalid_records, 1);
+        assert!(!r.summary.torn_tail);
         // clip-keyed records after the damage stay trusted
         assert_eq!(
             r.records.keys().copied().collect::<Vec<_>>(),
@@ -595,7 +583,7 @@ mod tests {
         assert!(RunJournal::open(&dir, Arc::clone(&io), &other).is_err());
 
         let (journal, replayed) = RunJournal::open(&dir, Arc::clone(&io), &manifest).unwrap();
-        assert!(replayed.clean());
+        assert!(replayed.summary.clean());
         let recovered = journal.recover(&replayed, 3);
         assert!(recovered[0].is_none());
         assert!(recovered[2].is_none());
@@ -642,8 +630,8 @@ mod tests {
                 bytes.extend_from_slice(&extra[..torn_cut.min(extra.len() - 1)]);
             }
             let r = replay(&bytes);
-            prop_assert_eq!(r.torn_tail, torn);
-            prop_assert_eq!(r.invalid_records, 0);
+            prop_assert_eq!(r.summary.torn_tail, torn);
+            prop_assert_eq!(r.summary.invalid_records, 0);
             // the recovered set is exactly the set of clips appended,
             // regardless of order and duplication
             let mut expected: Vec<usize> = order.clone();
@@ -667,7 +655,7 @@ mod tests {
                 .flat_map(|rec| encode_record(rec).unwrap())
                 .collect();
             let r2 = replay(&rebuilt);
-            prop_assert!(r2.clean());
+            prop_assert!(r2.summary.clean());
             prop_assert_eq!(r2.records, r.records);
         }
     }

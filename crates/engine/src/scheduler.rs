@@ -62,6 +62,19 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Capacity of each inter-stage channel; bounds frames in flight per
+/// stream and provides backpressure.
+const CHANNEL_CAPACITY: usize = 4;
+
+/// Maximum windows per batched detector invocation.
+const MAX_BATCH: usize = 16;
+
+/// Base of the deterministic retry backoff schedule: attempt `k`
+/// (0-based) schedules `RETRY_BACKOFF_BASE * 2^k` *virtual* seconds
+/// before re-running — accounted in `EngineStats` and the makespan,
+/// never slept, never charged to the cost ledger.
+pub const RETRY_BACKOFF_BASE: f64 = 0.05;
+
 /// Tunables for an engine run.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
@@ -79,32 +92,19 @@ pub struct EngineOptions {
     /// stream immediately. Bounds batcher rounds (the flush watermark
     /// counts only admitted live streams) and per-run memory.
     pub max_active_streams: usize,
-    /// Capacity of each inter-stage channel; bounds frames in flight
-    /// per stream and provides backpressure.
-    pub channel_capacity: usize,
     /// Decode-ahead window per stream (clamped to ≥ 1): frame `j` may
     /// be decoded as soon as frame `j - prefetch_frames` has left the
     /// pipeline, instead of rendezvousing with the tracker each frame.
-    /// Sizes the decode→window channel (`max(channel_capacity,
+    /// Sizes the decode→window channel (`max(CHANNEL_CAPACITY,
     /// prefetch_frames)`) and gates the pipelined virtual-time model:
     /// `1` reproduces the serial rendezvous, larger windows let decode
     /// run ahead of the detector. Charges are unaffected — only the
     /// reported makespan and stalls change.
     pub prefetch_frames: usize,
-    /// Maximum windows per batched detector invocation.
-    pub max_batch: usize,
     /// Deterministic fault-injection schedule (empty: no faults).
     pub faults: FaultPlan,
     /// Skip the sequential retry of recoverably-failed clips.
     pub no_retry: bool,
-    /// Retry budget per recoverably-failed clip: at most this many
-    /// sequential re-runs (0 behaves like `no_retry`).
-    pub retry_attempts: usize,
-    /// Base of the deterministic retry backoff schedule: attempt `k`
-    /// (0-based) schedules `retry_backoff_base * 2^k` *virtual* seconds
-    /// before re-running — accounted in `EngineStats` and the makespan,
-    /// never slept, never charged to the cost ledger.
-    pub retry_backoff_base: f64,
     /// How to execute the surrogate detector forward pass ([`Off`]
     /// runs no surrogate at all — the historical behaviour).
     ///
@@ -126,21 +126,16 @@ impl Default for EngineOptions {
 }
 
 impl EngineOptions {
-    /// The default tunables (2 streams, capacity-4 channels, a
-    /// 16-frame decode prefetch window, batches of up to 16 windows,
-    /// no faults, a 3-attempt retry budget with 50 ms backoff base).
+    /// The default tunables (2 streams, a 16-frame decode prefetch
+    /// window, no faults, sequential retry on).
     pub fn new() -> Self {
         EngineOptions {
             streams: 2,
             workers: 0,
             max_active_streams: 0,
-            channel_capacity: 4,
             prefetch_frames: 16,
-            max_batch: 16,
             faults: FaultPlan::none(),
             no_retry: false,
-            retry_attempts: 3,
-            retry_backoff_base: 0.05,
             detector_exec: DetectorExec::Off,
             stage_timeout: None,
         }
@@ -288,7 +283,7 @@ pub fn run_manifest(
         clips: clips.len(),
         streams,
         max_active_streams: resolve_max_active(opts.max_active_streams, streams),
-        max_batch: opts.max_batch,
+        max_batch: MAX_BATCH,
         prefetch_frames: opts.prefetch_frames.max(1),
         detector_exec: opts.detector_exec.as_str().to_string(),
     }
@@ -379,12 +374,11 @@ impl Engine {
         session: Option<&RunSession>,
     ) -> EngineRun {
         let streams = opts.streams.min(clips.len()).max(1);
-        let capacity = opts.channel_capacity.max(1);
         let prefetch = opts.prefetch_frames.max(1);
         // The decode stage's output channel is the prefetch buffer: it
         // must hold the whole decode-ahead budget, not just the default
         // backpressure capacity.
-        let decode_capacity = capacity.max(prefetch);
+        let decode_capacity = CHANNEL_CAPACITY.max(prefetch);
         let gap = config.gap.max(1);
         let frame_counts: Vec<usize> = clips.iter().map(|c| c.num_frames().div_ceil(gap)).collect();
 
@@ -419,7 +413,7 @@ impl Engine {
         let mut batcher = DetectorBatcher::new(
             streams,
             config.detector.arch.per_call(),
-            opts.max_batch,
+            MAX_BATCH,
             launch.clone(),
         )
         .with_max_active(max_active);
@@ -474,8 +468,8 @@ impl Engine {
         let mut tasks: Vec<Box<dyn PollTask + '_>> = Vec::with_capacity(4 * streams);
         for (s, assigned) in assignments.iter().enumerate() {
             let dec_q = SlotQueue::new(decode_capacity);
-            let win_q = SlotQueue::new(capacity);
-            let det_q = SlotQueue::new(capacity);
+            let win_q = SlotQueue::new(CHANNEL_CAPACITY);
+            let det_q = SlotQueue::new(CHANNEL_CAPACITY);
             let (dec_tx, dec_rx) = dec_q.endpoints(pool.waker(4 * s), pool.waker(4 * s + 1));
             let (win_tx, win_rx) = win_q.endpoints(pool.waker(4 * s + 1), pool.waker(4 * s + 2));
             let (det_tx, det_rx) = det_q.endpoints(pool.waker(4 * s + 2), pool.waker(4 * s + 3));
@@ -573,7 +567,7 @@ impl Engine {
                             },
                         },
                     };
-                    if recoverable && !opts.no_retry && opts.retry_attempts > 0 {
+                    if recoverable && !opts.no_retry {
                         retryable.push(idx);
                     }
                     failures.push(FailedClip {
@@ -613,13 +607,12 @@ impl Engine {
 
         // Failed-clip retry: clips that failed recoverably re-run
         // through the sequential pipeline under a bounded deterministic
-        // backoff schedule — attempt k schedules retry_backoff_base*2^k
+        // backoff schedule — attempt k schedules RETRY_BACKOFF_BASE*2^k
         // *virtual* seconds before running, accounted in the makespan
         // and the retry counters but never slept and never charged to
         // the ledger (sums stay bitwise identical). The sequential
-        // fallback is infallible today, so each clip recovers on
-        // attempt 0 and the rest of the `retry_attempts` budget stays
-        // unused; charges land on the same ledger — one flaky clip
+        // fallback is infallible, so each clip recovers on attempt 0
+        // and no later attempt exists; charges land on the same ledger — one flaky clip
         // degrades throughput, not results. Retries run after the
         // streaming portion, so they extend the makespan serially.
         let mut retried = 0usize;
@@ -646,7 +639,7 @@ impl Engine {
         for (idx, work) in retry_plan {
             match work {
                 RetryWork::Live => {
-                    retry_backoff_seconds += retry_backoff(opts.retry_backoff_base, 0);
+                    retry_backoff_seconds += retry_backoff(RETRY_BACKOFF_BASE, 0);
                     retry_attempts += 1;
                     let retry_ledger = CostLedger::new();
                     let tracks = Pipeline::run_clip(config, ctx, &clips[idx], &retry_ledger);
@@ -663,7 +656,7 @@ impl Engine {
                             &retry_ledger,
                             true,
                             1,
-                            retry_backoff(opts.retry_backoff_base, 0),
+                            retry_backoff(RETRY_BACKOFF_BASE, 0),
                         );
                     }
                     outcomes[idx] = ClipOutcome::Ok(tracks);
@@ -883,8 +876,8 @@ mod tests {
         // two the backpressure capacity, plus one frame resident in
         // each consuming stage
         let opts = EngineOptions::new();
-        let decode_cap = opts.channel_capacity.max(opts.prefetch_frames) as u64;
-        let per_stream_cap = (decode_cap + 1) + 2 * (opts.channel_capacity as u64 + 1) + 1;
+        let decode_cap = CHANNEL_CAPACITY.max(opts.prefetch_frames) as u64;
+        let per_stream_cap = (decode_cap + 1) + 2 * (CHANNEL_CAPACITY as u64 + 1) + 1;
         assert!(run.stats.max_frames_in_flight <= run.stats.streams as u64 * per_stream_cap);
         assert!((run.stats.wasted_seconds - 0.0).abs() < 1e-15);
     }

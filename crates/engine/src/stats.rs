@@ -184,12 +184,11 @@ pub struct EngineStats {
     pub failed_clips: usize,
     /// Failed clips recovered by the sequential fallback retry.
     pub retried_clips: usize,
-    /// Individual retry attempts run (today the sequential fallback is
-    /// infallible, so this equals `retried_clips`; the backoff budget
-    /// allows more).
+    /// Individual retry attempts run (the sequential fallback is
+    /// infallible, so this equals `retried_clips`).
     pub retry_attempts: u64,
     /// Virtual seconds of deterministic retry backoff scheduled
-    /// (`retry_backoff_base * 2^k` per attempt k) — included in
+    /// (`RETRY_BACKOFF_BASE * 2^k` per attempt k) — included in
     /// `execution_seconds`, never in the ledger sums.
     pub retry_backoff_seconds: f64,
     /// Stage panics captured by the supervision shim.

@@ -1,5 +1,5 @@
-//! The store's append-only ingest journal — the durability commit
-//! point.
+//! The store's append-only ingest journal — the durability commit point
+//! and the store's only catalog.
 //!
 //! Every ingest appends exactly one record, the clip's [`ClipMeta`] as
 //! a checksummed line of the shared durability layer
@@ -10,14 +10,10 @@
 //! are dense, so [`replay`] keeps the valid prefix `0..n` and distrusts
 //! everything after the first bad record; a torn tail is crash debris,
 //! truncated by `store-fsck --repair`, never data loss.
-//!
-//! `catalog.json` is demoted to a rewritable *checkpoint* of the same
-//! entries — convenient for tools, never authoritative: `open()`
-//! replays the journal when one exists.
 
 use crate::io::StoreError;
 use crate::store::ClipMeta;
-use otif_core::durable::{self, Line};
+use otif_core::durable::{self, Line, ReplaySummary};
 
 /// File name of the ingest journal inside a store directory.
 pub const JOURNAL_FILE: &str = "journal.log";
@@ -36,23 +32,12 @@ pub fn encode_record(meta: &ClipMeta) -> Result<Vec<u8>, StoreError> {
 pub struct JournalReplay {
     /// Catalog entries recovered from valid records, in journal order.
     pub entries: Vec<ClipMeta>,
-    /// Whether the journal ends in crash debris (a final line that is
-    /// unterminated or fails its checksum).
-    pub torn_tail: bool,
-    /// Complete, newline-terminated records that failed their checksum
-    /// or did not parse — corruption beyond a simple torn tail.
-    pub invalid_records: usize,
+    /// Torn tail and invalid records. The first bad mid-journal record
+    /// invalidates every line after it.
+    pub summary: ReplaySummary,
     /// Byte length of the valid record prefix; truncating the journal
     /// to this length drops only debris.
     pub valid_bytes: usize,
-}
-
-impl JournalReplay {
-    /// Whether the journal is pristine: every byte belongs to a valid
-    /// record.
-    pub fn clean(&self) -> bool {
-        !self.torn_tail && self.invalid_records == 0
-    }
 }
 
 /// Replay raw journal bytes. Reading stops being "valid prefix" at the
@@ -72,12 +57,13 @@ pub fn replay(bytes: &[u8]) -> JournalReplay {
             // a bad final line: a torn append (possibly one that landed
             // its newline inside the half-written bytes)
             _ if end == bytes.len() => {
-                out.torn_tail = true;
+                out.summary.torn_tail = true;
                 break;
             }
             // a bad mid-journal record; everything after it is untrusted
             _ => {
-                out.invalid_records = 1 + bytes[end..].iter().filter(|&&b| b == b'\n').count();
+                out.summary.invalid_records =
+                    1 + bytes[end..].iter().filter(|&&b| b == b'\n').count();
                 break;
             }
         }
@@ -115,7 +101,7 @@ mod tests {
     fn round_trip_replays_all_records() {
         let bytes = journal(3);
         let r = replay(&bytes);
-        assert!(r.clean());
+        assert!(r.summary.clean());
         assert_eq!(r.entries.len(), 3);
         assert_eq!(r.valid_bytes, bytes.len());
         for (i, e) in r.entries.iter().enumerate() {
@@ -127,7 +113,7 @@ mod tests {
     #[test]
     fn empty_journal_is_clean_and_empty() {
         let r = replay(b"");
-        assert!(r.clean());
+        assert!(r.summary.clean());
         assert!(r.entries.is_empty());
         assert_eq!(r.valid_bytes, 0);
     }
@@ -139,13 +125,13 @@ mod tests {
         let extra = encode_record(&meta(2)).unwrap();
         bytes.extend_from_slice(&extra[..extra.len() / 2]); // torn append
         let r = replay(&bytes);
-        assert!(r.torn_tail);
-        assert_eq!(r.invalid_records, 0);
+        assert!(r.summary.torn_tail);
+        assert_eq!(r.summary.invalid_records, 0);
         assert_eq!(r.entries.len(), 2);
         assert_eq!(r.valid_bytes, good, "truncation point = valid prefix");
         // truncating to valid_bytes yields a clean journal
         let r2 = replay(&bytes[..r.valid_bytes]);
-        assert!(r2.clean());
+        assert!(r2.summary.clean());
         assert_eq!(r2.entries.len(), 2);
     }
 
@@ -156,10 +142,13 @@ mod tests {
         let rec0 = encode_record(&meta(0)).unwrap().len();
         bytes[rec0 + 20] ^= 0xff;
         let r = replay(&bytes);
-        assert!(!r.clean());
+        assert!(!r.summary.clean());
         assert_eq!(r.entries.len(), 1, "only the prefix before the damage");
-        assert_eq!(r.invalid_records, 2, "bad record + untrusted suffix");
-        assert!(!r.torn_tail);
+        assert_eq!(
+            r.summary.invalid_records, 2,
+            "bad record + untrusted suffix"
+        );
+        assert!(!r.summary.torn_tail);
     }
 
     #[test]
@@ -168,6 +157,9 @@ mod tests {
         bytes.extend(encode_record(&meta(2)).unwrap()); // gap: 1 missing
         let r = replay(&bytes);
         assert_eq!(r.entries.len(), 1);
-        assert!(r.torn_tail, "bad final line classifies as tail debris");
+        assert!(
+            r.summary.torn_tail,
+            "bad final line classifies as tail debris"
+        );
     }
 }

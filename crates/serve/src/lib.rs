@@ -14,7 +14,7 @@
 //! Components:
 //!
 //! - [`TrackStore`] — an on-disk clip catalog. Ingest writes one JSON
-//!   track file per clip plus a catalog entry holding a compact spatial
+//!   track file per clip plus a journal entry holding a compact spatial
 //!   summary (occupied grid cells of the track geometry, rasterized so
 //!   interpolated positions are covered), a temporal summary (the
 //!   maximum number of concurrently alive tracks) and a content
@@ -50,9 +50,10 @@
 //!   deterministic `(operation, ordinal)`-addressed fault plan
 //!   ([`FaultyIo`]) for torn writes, failed renames, read errors, and
 //!   crash points.
-//! - [`journal`] — the append-only checksummed ingest journal whose
-//!   append is the acknowledgement point; `catalog.json` becomes a
-//!   rewritable checkpoint and [`store::fsck`] replays/repairs.
+//! - [`journal`] — the append-only checksummed ingest journal, the
+//!   store's only catalog, whose append is the acknowledgement point;
+//!   [`store::fsck`] replays and repairs it, and migrates pre-journal
+//!   stores (a `catalog.json` only) into it.
 //! - Overload safety in [`QueryServer`]: a bounded admission queue with
 //!   load shedding, per-query deadlines, and self-marking catalog-only
 //!   [`Answer::Approximate`] answers for shed/deadlined queries and

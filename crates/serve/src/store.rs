@@ -5,20 +5,21 @@
 //!
 //! ```text
 //! store/
-//!   journal.log           # append-only ingest journal (authoritative)
-//!   catalog.json          # rewritable checkpoint of the same entries
+//!   journal.log           # append-only ingest journal: the catalog
 //!   clips/clip_<id>.json  # Vec<Track>: the clip's extracted tracks
 //!   quarantine/           # clip files that failed verification
 //! ```
 //!
 //! Durability model (DESIGN.md §13): an ingest commits the clip payload
 //! into `clips/`, then appends its journal record — the
-//! acknowledgement point. A crash at *any* intermediate step loses only
-//! the unacknowledged ingest (recoverable debris that [`fsck`]
-//! removes), never an acknowledged one. `catalog.json` is a best-effort
-//! checkpoint; [`TrackStore::open`] replays the journal whenever one
-//! exists. Every [`TrackStore::load`] re-verifies the payload's FNV-1a
-//! fingerprint against its catalog entry and quarantines mismatches.
+//! acknowledgement point and the only catalog write. A crash at *any*
+//! intermediate step loses only the unacknowledged ingest (recoverable
+//! debris that [`fsck`] removes), never an acknowledged one.
+//! [`TrackStore::open`] replays the journal; a pre-journal store (a
+//! `catalog.json` and no journal) is refused until `store-fsck
+//! --repair` migrates it. Every [`TrackStore::load`] re-verifies the
+//! payload's FNV-1a fingerprint against its catalog entry and
+//! quarantines mismatches.
 //!
 //! The catalog is small and always resident; it carries everything clip
 //! pruning needs (occupied spatial cells of the track geometry, the
@@ -32,7 +33,7 @@
 
 use crate::io::{RealIo, StoreError, StoreIo};
 use crate::journal::{self, JOURNAL_FILE};
-use otif_core::durable::{self, retry_backoff};
+use otif_core::durable::{self, retry_backoff, ReplaySummary};
 use otif_geom::{GridIndex, Point, Rect};
 use otif_track::Track;
 use serde::{Deserialize, Serialize};
@@ -172,7 +173,7 @@ impl LoadedClip {
         }
         let slack = self.meta.cell_size;
         let mut seen: Vec<bool> = vec![false; self.tracks.len()];
-        for (ti, t) in self.tracks.iter().enumerate() {
+        for t in &self.tracks {
             for (_, d) in &t.dets {
                 let center = d.rect.center();
                 let near = self.index.query_circle(&center, radius + slack);
@@ -190,7 +191,6 @@ impl LoadedClip {
                         }
                     }
                 }
-                let _ = ti;
             }
         }
         false
@@ -238,7 +238,9 @@ fn max_concurrent(tracks: &[Track]) -> usize {
     peak as usize
 }
 
-const CATALOG_FILE: &str = "catalog.json";
+/// The catalog of a pre-journal store: only [`fsck_with`]'s migration
+/// reads it, and open and create refuse a store that has no journal.
+const LEGACY_CATALOG_FILE: &str = "catalog.json";
 const CLIPS_DIR: &str = "clips";
 const QUARANTINE_DIR: &str = "quarantine";
 
@@ -290,6 +292,28 @@ fn create_dir_durable(io: &dyn StoreIo, dir: &Path) -> Result<(), StoreError> {
     io.sync_dir(durable::parent_dir(dir))
 }
 
+/// `dir` holds no journal: not a store, or a pre-journal one that
+/// `store-fsck --repair` must migrate first.
+fn no_journal(dir: &Path) -> StoreError {
+    StoreError::Missing {
+        what: format!(
+            "{JOURNAL_FILE} in {0}; if {0} is a pre-journal store ({LEGACY_CATALOG_FILE} \
+             only), run store-fsck --repair to migrate it",
+            dir.display()
+        ),
+    }
+}
+
+/// Serialize a clip's tracks: the payload bytes and their FNV-1a
+/// content fingerprint.
+fn encode_tracks(tracks: &[Track]) -> Result<(String, u64), StoreError> {
+    let json = serde_json::to_string(tracks).map_err(|e| StoreError::Invalid {
+        detail: format!("track encode: {e}"),
+    })?;
+    let fingerprint = fnv1a(json.as_bytes());
+    Ok((json, fingerprint))
+}
+
 /// Parse `clip_<id>.json` back into an id.
 fn parse_clip_name(name: &str) -> Option<usize> {
     name.strip_prefix("clip_")?
@@ -320,39 +344,32 @@ impl TrackStore {
     }
 
     /// Create an empty store at `dir` through `io` (the directory is
-    /// created; an existing store there is an error — stores are
-    /// append-only).
+    /// created; an existing store there, pre-journal ones included, is
+    /// an error — stores are append-only).
     pub fn create_with(
         dir: &Path,
         io: Arc<dyn StoreIo>,
         opts: StoreOptions,
     ) -> Result<TrackStore, StoreError> {
-        for existing in [dir.join(JOURNAL_FILE), dir.join(CATALOG_FILE)] {
-            if io.exists(&existing) {
-                return Err(StoreError::Invalid {
-                    detail: format!("{} already exists; open() it instead", existing.display()),
-                });
-            }
+        let journal_path = dir.join(JOURNAL_FILE);
+        if io.exists(&journal_path) {
+            return Err(StoreError::Invalid {
+                detail: format!(
+                    "{} already exists; open() it instead",
+                    journal_path.display()
+                ),
+            });
+        }
+        if io.exists(&dir.join(LEGACY_CATALOG_FILE)) {
+            return Err(no_journal(dir));
         }
         io.create_dir_all(&dir.join(CLIPS_DIR))?;
         // an empty append creates the journal file; the directory
         // fsyncs make it, `clips/` and the store directory durable
-        io.append(&dir.join(JOURNAL_FILE), b"")?;
+        io.append(&journal_path, b"")?;
         io.sync_dir(dir)?;
         io.sync_dir(durable::parent_dir(dir))?;
-        let store = TrackStore {
-            dir: dir.to_path_buf(),
-            io,
-            opts,
-            catalog: Vec::new(),
-            loaded: Mutex::new(HashMap::new()),
-            quarantined: Mutex::new(BTreeSet::new()),
-            loads: AtomicU64::new(0),
-            read_retries: AtomicU64::new(0),
-            backoff_nanos: AtomicU64::new(0),
-        };
-        store.write_checkpoint()?;
-        Ok(store)
+        Ok(Self::new(dir, io, opts, Vec::new(), BTreeSet::new()))
     }
 
     /// Open an existing store on the real filesystem.
@@ -360,45 +377,31 @@ impl TrackStore {
         Self::open_with(dir, Arc::new(RealIo), StoreOptions::default())
     }
 
-    /// Open an existing store through `io`. The journal is
-    /// authoritative when present (a torn tail — crash debris — is
-    /// tolerated and ignored; mid-journal corruption is an error that
-    /// `store-fsck` must resolve). A store with only a legacy
-    /// `catalog.json` opens from the checkpoint.
+    /// Open an existing store through `io` by replaying its journal (a
+    /// torn tail — crash debris — is tolerated and ignored; mid-journal
+    /// corruption is an error that `store-fsck` must resolve). A
+    /// pre-journal store is refused: an ingest into it would start the
+    /// journal at id `n`, not 0, so replay would read that record as a
+    /// torn tail and the store would reopen empty.
     pub fn open_with(
         dir: &Path,
         io: Arc<dyn StoreIo>,
         opts: StoreOptions,
     ) -> Result<TrackStore, StoreError> {
         let journal_path = dir.join(JOURNAL_FILE);
-        let catalog = if io.exists(&journal_path) {
-            let replayed = journal::replay(&io.read(&journal_path)?);
-            if replayed.invalid_records > 0 {
-                return Err(StoreError::Invalid {
-                    detail: format!(
-                        "{}: {} invalid mid-journal record(s); run store-fsck --repair",
-                        journal_path.display(),
-                        replayed.invalid_records
-                    ),
-                });
-            }
-            replayed.entries
-        } else {
-            // legacy (pre-journal) store: checkpoint only
-            let path = dir.join(CATALOG_FILE);
-            if !io.exists(&path) {
-                return Err(StoreError::Missing {
-                    what: format!("store at {} (no journal, no catalog)", dir.display()),
-                });
-            }
-            let bytes = io.read(&path)?;
-            let text = std::str::from_utf8(&bytes).map_err(|e| StoreError::Invalid {
-                detail: format!("{}: {e}", path.display()),
-            })?;
-            serde_json::from_str(text).map_err(|e| StoreError::Invalid {
-                detail: format!("{}: {e}", path.display()),
-            })?
-        };
+        if !io.exists(&journal_path) {
+            return Err(no_journal(dir));
+        }
+        let replayed = journal::replay(&io.read(&journal_path)?);
+        if replayed.summary.invalid_records > 0 {
+            return Err(StoreError::Invalid {
+                detail: format!(
+                    "{}: {} invalid mid-journal record(s); run store-fsck --repair",
+                    journal_path.display(),
+                    replayed.summary.invalid_records
+                ),
+            });
+        }
         let mut quarantined = BTreeSet::new();
         let qdir = dir.join(QUARANTINE_DIR);
         if io.exists(&qdir) {
@@ -408,7 +411,17 @@ impl TrackStore {
                 }
             }
         }
-        Ok(TrackStore {
+        Ok(Self::new(dir, io, opts, replayed.entries, quarantined))
+    }
+
+    fn new(
+        dir: &Path,
+        io: Arc<dyn StoreIo>,
+        opts: StoreOptions,
+        catalog: Vec<ClipMeta>,
+        quarantined: BTreeSet<usize>,
+    ) -> TrackStore {
+        TrackStore {
             dir: dir.to_path_buf(),
             io,
             opts,
@@ -418,12 +431,7 @@ impl TrackStore {
             loads: AtomicU64::new(0),
             read_retries: AtomicU64::new(0),
             backoff_nanos: AtomicU64::new(0),
-        })
-    }
-
-    /// Rewrite the `catalog.json` checkpoint atomically.
-    fn write_checkpoint(&self) -> Result<(), StoreError> {
-        write_catalog(&*self.io, &self.dir, &self.catalog)
+        }
     }
 
     fn clip_path(&self, id: usize) -> PathBuf {
@@ -449,11 +457,10 @@ impl TrackStore {
     /// acknowledgement point. `Ok` means the ingest survives any
     /// subsequent crash; `Err` means it left at most recoverable debris
     /// (an orphan tmp or clip file with no journal record, removed by
-    /// [`fsck`]). The checkpoint
-    /// rewrite afterwards is best-effort: its failure is swallowed
-    /// because the journal already carries the entry.
+    /// [`fsck`]).
     pub fn ingest_clip(&mut self, info: &ClipInfo, tracks: &[Track]) -> Result<usize, StoreError> {
-        self.ingest_inner(info, tracks, None)
+        let (json, fingerprint) = encode_tracks(tracks)?;
+        self.ingest_inner(info, tracks, &json, fingerprint, None)
     }
 
     /// [`Self::ingest_clip`] keyed by an ingest `source` (e.g.
@@ -470,10 +477,7 @@ impl TrackStore {
         tracks: &[Track],
         source: &str,
     ) -> Result<(usize, bool), StoreError> {
-        let json = serde_json::to_string(tracks).map_err(|e| StoreError::Invalid {
-            detail: format!("track encode: {e}"),
-        })?;
-        let fingerprint = fnv1a(json.as_bytes());
+        let (json, fingerprint) = encode_tracks(tracks)?;
         if let Some(existing) = self
             .catalog
             .iter()
@@ -491,21 +495,21 @@ impl TrackStore {
                 ),
             });
         }
-        let id = self.ingest_inner(info, tracks, Some(source.to_string()))?;
+        let id = self.ingest_inner(info, tracks, &json, fingerprint, Some(source.to_string()))?;
         Ok((id, true))
     }
 
+    /// Commit `json` (the encoded `tracks`, whose FNV-1a is
+    /// `fingerprint`) as the next clip, then acknowledge it.
     fn ingest_inner(
         &mut self,
         info: &ClipInfo,
         tracks: &[Track],
+        json: &str,
+        fingerprint: u64,
         source: Option<String>,
     ) -> Result<usize, StoreError> {
         let id = self.catalog.len();
-        let json = serde_json::to_string(tracks).map_err(|e| StoreError::Invalid {
-            detail: format!("track encode: {e}"),
-        })?;
-        let fingerprint = fnv1a(json.as_bytes());
 
         let cell_size = Self::cell_size_for(info);
         let cols = (info.width / cell_size).ceil().max(1.0) as u32;
@@ -542,7 +546,6 @@ impl TrackStore {
         )?;
         // === acknowledged: the record is durable ===
         self.catalog.push(meta);
-        let _ = self.write_checkpoint(); // best-effort; journal is authoritative
         Ok(id)
     }
 
@@ -689,18 +692,14 @@ impl TrackStore {
 /// directory.
 #[derive(Debug, Default, Serialize)]
 pub struct FsckReport {
-    /// Valid records replayed from the journal (or checkpoint entries
-    /// for a legacy store).
+    /// Valid records replayed from the journal (for a pre-journal
+    /// store, the entries of the `catalog.json` that repair migrates).
     pub journal_entries: usize,
-    /// Entries in the `catalog.json` checkpoint (0 when absent).
-    pub checkpoint_entries: usize,
-    /// Whether the journal ended in crash debris.
-    pub torn_tail: bool,
-    /// Whether repair truncated that debris away.
+    /// The journal's torn tail (crash debris) and invalid mid-journal
+    /// records (corruption, unrepairable without loss).
+    pub journal: ReplaySummary,
+    /// Whether repair truncated the torn tail away.
     pub torn_tail_truncated: bool,
-    /// Complete mid-journal records that failed checksum/parse —
-    /// corruption beyond crash debris (unrepairable without loss).
-    pub invalid_records: usize,
     /// Acknowledged clips whose payload file is absent and not
     /// quarantined — the data-loss signal; must be empty after any
     /// crash-only history.
@@ -711,15 +710,10 @@ pub struct FsckReport {
     /// Clips already sitting in `quarantine/` before this fsck.
     pub already_quarantined: Vec<usize>,
     /// Debris files in the store (orphan tmp files, clip files with no
-    /// journal record).
+    /// journal record, a `catalog.json` the journal supersedes).
     pub orphan_files: Vec<String>,
     /// How many of those repair removed.
     pub orphan_files_removed: usize,
-    /// Whether repair rewrote the `catalog.json` checkpoint from the
-    /// journal.
-    pub checkpoint_rewritten: bool,
-    /// Whether this fsck ran in repair mode.
-    pub repaired: bool,
 }
 
 impl FsckReport {
@@ -727,27 +721,17 @@ impl FsckReport {
     /// present and verified (or explicitly quarantined) and no
     /// mid-journal record is corrupt.
     pub fn consistent(&self) -> bool {
-        self.missing_clips.is_empty() && self.invalid_records == 0
+        self.missing_clips.is_empty() && self.journal.invalid_records == 0
     }
 
-    /// Nothing wrong at all — no debris, no corruption, checkpoint in
-    /// sync with the journal.
+    /// Nothing wrong at all — no debris (a pre-journal catalog
+    /// included), no corruption.
     pub fn healthy(&self) -> bool {
         self.consistent()
-            && !self.torn_tail
+            && !self.journal.torn_tail
             && self.corrupt_quarantined.is_empty()
             && self.orphan_files.is_empty()
-            && self.checkpoint_entries == self.journal_entries
     }
-}
-
-/// Commit `entries` as the `catalog.json` checkpoint of the store at
-/// `dir`.
-fn write_catalog(io: &dyn StoreIo, dir: &Path, entries: &[ClipMeta]) -> Result<(), StoreError> {
-    let json = serde_json::to_string(entries).map_err(|e| StoreError::Invalid {
-        detail: format!("catalog encode: {e}"),
-    })?;
-    commit(io, &dir.join(CATALOG_FILE), json.as_bytes())
 }
 
 /// Check (and with `repair`, fix) a store directory on the real
@@ -759,52 +743,46 @@ pub fn fsck(dir: &Path, repair: bool) -> Result<FsckReport, StoreError> {
 /// Replay the ingest journal and reconcile the store directory with it:
 /// truncate a torn journal tail, verify every acknowledged payload's
 /// fingerprint (quarantining corruption), detect missing payloads (data
-/// loss — never expected from crashes), remove orphan debris, and
-/// rewrite the `catalog.json` checkpoint. Without `repair` nothing is
-/// modified; the report says what *would* be done.
+/// loss — never expected from crashes) and remove orphan debris. A
+/// pre-journal store is migrated: repair commits the journal its
+/// `catalog.json` entries would have produced, then removes the catalog
+/// as superseded. Without `repair` nothing is modified; the report says
+/// what *would* be done.
 pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckReport, StoreError> {
-    let mut report = FsckReport {
-        repaired: repair,
-        ..FsckReport::default()
-    };
+    let mut report = FsckReport::default();
     let journal_path = dir.join(JOURNAL_FILE);
-    let catalog_path = dir.join(CATALOG_FILE);
-
-    // checkpoint entry count (diagnostic only — journal is authoritative)
-    let checkpoint: Vec<ClipMeta> = if io.exists(&catalog_path) {
-        let bytes = io.read(&catalog_path)?;
-        std::str::from_utf8(&bytes)
-            .ok()
-            .and_then(|t| serde_json::from_str(t).ok())
-            .unwrap_or_default()
-    } else {
-        Vec::new()
-    };
-    report.checkpoint_entries = checkpoint.len();
+    let catalog_path = dir.join(LEGACY_CATALOG_FILE);
 
     let entries: Vec<ClipMeta> = if io.exists(&journal_path) {
         let bytes = io.read(&journal_path)?;
         let replayed = journal::replay(&bytes);
-        report.torn_tail = replayed.torn_tail;
-        report.invalid_records = replayed.invalid_records;
-        if repair && (replayed.torn_tail || replayed.invalid_records > 0) {
+        report.journal = replayed.summary;
+        if repair && !replayed.summary.clean() {
             // keep only the valid prefix (atomic rewrite)
             commit(io, &journal_path, &bytes[..replayed.valid_bytes])?;
-            report.torn_tail_truncated = replayed.torn_tail;
+            report.torn_tail_truncated = replayed.summary.torn_tail;
         }
         replayed.entries
     } else if io.exists(&catalog_path) {
-        // legacy store: adopt the checkpoint as history; repair writes
-        // the journal those ingests would have produced
+        // pre-journal store: adopt its catalog as history. The journal
+        // is committed whole, so a crash mid-migration leaves the
+        // catalog in charge and the next repair starts over.
+        let bytes = io.read(&catalog_path)?;
+        let entries: Vec<ClipMeta> = std::str::from_utf8(&bytes)
+            .ok()
+            .and_then(|t| serde_json::from_str::<Vec<ClipMeta>>(t).ok())
+            .filter(|e| e.iter().enumerate().all(|(i, m)| m.id == i))
+            .ok_or_else(|| StoreError::Invalid {
+                detail: format!("{}: not a dense clip catalog", catalog_path.display()),
+            })?;
         if repair {
-            let mut bytes = Vec::new();
-            for m in &checkpoint {
-                bytes.extend(journal::encode_record(m)?);
+            let mut journal = Vec::new();
+            for m in &entries {
+                journal.extend(journal::encode_record(m)?);
             }
-            io.append(&journal_path, &bytes)?;
-            io.sync_dir(dir)?;
+            commit(io, &journal_path, &journal)?;
         }
-        checkpoint.clone()
+        entries
     } else {
         // unborn store: nothing to check
         return Ok(report);
@@ -832,7 +810,8 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
         }
     }
 
-    // debris: tmp files anywhere, clip files without a journal record
+    // debris: tmp files anywhere, clip files without a journal record,
+    // the pre-journal catalog
     let mut orphans: Vec<PathBuf> = Vec::new();
     if io.exists(&clips_dir) {
         for name in io.list(&clips_dir)? {
@@ -842,9 +821,14 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
             }
         }
     }
-    let catalog_tmp = durable::tmp_path(&catalog_path);
-    if io.exists(&catalog_tmp) {
-        orphans.push(catalog_tmp);
+    for path in [
+        durable::tmp_path(&journal_path),
+        durable::tmp_path(&catalog_path),
+        catalog_path,
+    ] {
+        if io.exists(&path) {
+            orphans.push(path);
+        }
     }
     for path in orphans {
         report.orphan_files.push(
@@ -857,12 +841,6 @@ pub fn fsck_with(dir: &Path, io: &dyn StoreIo, repair: bool) -> Result<FsckRepor
             io.remove_file(&path)?;
             report.orphan_files_removed += 1;
         }
-    }
-
-    // bring the checkpoint back in sync with the journal
-    if repair && (report.checkpoint_entries != entries.len() || !io.exists(&catalog_path)) {
-        write_catalog(io, dir, &entries)?;
-        report.checkpoint_rewritten = true;
     }
     Ok(report)
 }
@@ -976,18 +954,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A small clip whose tracks differ with `i`.
+    fn clip(i: usize) -> Vec<Track> {
+        let x = 1.0 + i as f32;
+        vec![track(0, &[(0, x, x), (5, 9.0, 9.0)])]
+    }
+
     #[test]
-    fn open_replays_journal_not_checkpoint() {
+    fn open_replays_journal_and_fsck_removes_a_stale_catalog() {
         let dir = tmp_dir("journal-first");
         let mut store = TrackStore::create(&dir).unwrap();
-        store
-            .ingest_clip(&info(), &[track(0, &[(0, 1.0, 1.0), (5, 9.0, 9.0)])])
-            .unwrap();
-        // sabotage the checkpoint: journal must still win
-        std::fs::write(dir.join(CATALOG_FILE), b"[]").unwrap();
-        let store = TrackStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 1, "journal is authoritative over checkpoint");
-        store.load(0).unwrap();
+        store.ingest_clip(&info(), &clip(0)).unwrap();
+        // stores written before the journal became the only catalog
+        // keep a catalog next to it; nothing reads it
+        std::fs::write(dir.join(LEGACY_CATALOG_FILE), b"[]").unwrap();
+        TrackStore::open(&dir).unwrap().load(0).unwrap();
+        let report = fsck(&dir, true).unwrap();
+        assert_eq!(report.orphan_files, vec![LEGACY_CATALOG_FILE]);
+        assert!(fsck(&dir, false).unwrap().healthy());
+        assert_eq!(TrackStore::open(&dir).unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An ingest is one payload commit plus one journal append, and the
+    /// store holds nothing else.
+    #[test]
+    fn ingest_writes_only_the_payload_and_the_journal_record() {
+        let dir = tmp_dir("io-trace");
+        let counter = Arc::new(FaultyIo::new(RealIo, StoreFaultPlan::none()));
+        let io = Arc::clone(&counter) as Arc<dyn StoreIo>;
+        let mut store = TrackStore::create_with(&dir, io, StoreOptions::default()).unwrap();
+        for i in 0..3 {
+            store.ingest_clip(&info(), &clip(i)).unwrap();
+        }
+        let ops = counter.ops();
+        let writes = [StoreOp::Write, StoreOp::Rename, StoreOp::Append].map(|op| ops[&op]);
+        assert_eq!(writes, [3, 3, 3 + 1], "{ops:?}");
+        assert_eq!(durable::list(&dir).unwrap(), vec![CLIPS_DIR, JOURNAL_FILE]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -995,9 +998,7 @@ mod tests {
     fn load_verifies_fingerprint_and_quarantines() {
         let dir = tmp_dir("verify");
         let mut store = TrackStore::create(&dir).unwrap();
-        let id = store
-            .ingest_clip(&info(), &[track(0, &[(0, 1.0, 1.0), (5, 9.0, 9.0)])])
-            .unwrap();
+        let id = store.ingest_clip(&info(), &clip(0)).unwrap();
         let path = dir.join(CLIPS_DIR).join(clip_file_name(id));
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[0] ^= 0xff;
@@ -1020,9 +1021,7 @@ mod tests {
     fn transient_read_faults_retry_with_virtual_backoff() {
         let dir = tmp_dir("retry");
         let mut store = TrackStore::create(&dir).unwrap();
-        let id = store
-            .ingest_clip(&info(), &[track(0, &[(0, 1.0, 1.0), (5, 9.0, 9.0)])])
-            .unwrap();
+        let id = store.ingest_clip(&info(), &clip(0)).unwrap();
         let io = Arc::new(FaultyIo::new(RealIo, StoreFaultPlan::transient_reads(1, 2)));
         // read ordinal 0 is the journal replay on open; 1 and 2 fail
         let store = TrackStore::open_with(&dir, io, StoreOptions::default()).unwrap();
@@ -1043,10 +1042,8 @@ mod tests {
             StoreFaultPlan::crash_at(StoreOp::Append, 2),
         ));
         let mut store = TrackStore::create_with(&dir, io, StoreOptions::default()).unwrap();
-        let t0 = vec![track(0, &[(0, 1.0, 1.0), (5, 9.0, 9.0)])];
-        let t1 = vec![track(0, &[(0, 2.0, 2.0), (5, 8.0, 8.0)])];
-        store.ingest_clip(&info(), &t0).unwrap();
-        assert!(store.ingest_clip(&info(), &t1).is_err(), "crash fires");
+        store.ingest_clip(&info(), &clip(0)).unwrap();
+        assert!(store.ingest_clip(&info(), &clip(1)).is_err(), "crash fires");
         drop(store);
 
         let report = fsck(&dir, true).unwrap();
@@ -1059,7 +1056,7 @@ mod tests {
         let loaded = store.load(0).unwrap();
         assert_eq!(
             serde_json::to_string(&loaded.tracks).unwrap(),
-            serde_json::to_string(&t0).unwrap()
+            serde_json::to_string(&clip(0)).unwrap()
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1073,16 +1070,12 @@ mod tests {
             StoreFaultPlan::torn_at(StoreOp::Append, 2),
         ));
         let mut store = TrackStore::create_with(&dir, io, StoreOptions::default()).unwrap();
-        store
-            .ingest_clip(&info(), &[track(0, &[(0, 1.0, 1.0), (5, 9.0, 9.0)])])
-            .unwrap();
-        assert!(store
-            .ingest_clip(&info(), &[track(0, &[(0, 2.0, 2.0), (5, 8.0, 8.0)])])
-            .is_err());
+        store.ingest_clip(&info(), &clip(0)).unwrap();
+        assert!(store.ingest_clip(&info(), &clip(1)).is_err());
         drop(store);
 
         let unrepaired = fsck(&dir, false).unwrap();
-        assert!(unrepaired.torn_tail);
+        assert!(unrepaired.journal.torn_tail);
         assert!(!unrepaired.healthy());
         assert!(unrepaired.consistent(), "torn tail is not data loss");
 
@@ -1094,21 +1087,44 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// An ingest into a pre-journal store would start the journal at id
+    /// `n`, which replay reads as a torn tail: reopen would hold no
+    /// clips and fsck would delete every payload. Open refuses such a
+    /// store; after the migration every ingest, old and new, survives.
     #[test]
     fn fsck_adopts_legacy_catalog_only_store() {
         let dir = tmp_dir("legacy");
         let mut store = TrackStore::create(&dir).unwrap();
-        store
-            .ingest_clip(&info(), &[track(0, &[(0, 1.0, 1.0), (5, 9.0, 9.0)])])
-            .unwrap();
-        // simulate a pre-journal store
+        for i in 0..2 {
+            store.ingest_clip(&info(), &clip(i)).unwrap();
+        }
+        let catalog = serde_json::to_string(store.metas()).unwrap();
+        std::fs::write(dir.join(LEGACY_CATALOG_FILE), catalog).unwrap();
         std::fs::remove_file(dir.join(JOURNAL_FILE)).unwrap();
-        let store = TrackStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 1, "legacy open falls back to checkpoint");
+        for err in [TrackStore::open(&dir).err(), TrackStore::create(&dir).err()] {
+            let err = err.expect("a pre-journal store is refused");
+            assert!(matches!(err, StoreError::Missing { .. }), "{err}");
+            assert!(err.to_string().contains("store-fsck --repair"), "{err}");
+        }
+        // report-only: the migration is pending, nothing is written
+        let report = fsck(&dir, false).unwrap();
+        assert!(report.consistent() && !report.healthy(), "{report:?}");
+        assert!(!dir.join(JOURNAL_FILE).exists());
+        // repair commits the journal, then drops the superseded catalog
         let report = fsck(&dir, true).unwrap();
-        assert!(report.consistent());
-        assert_eq!(report.journal_entries, 1, "journal rebuilt from checkpoint");
-        assert!(dir.join(JOURNAL_FILE).exists());
+        assert_eq!(report.journal_entries, 2);
+        assert_eq!(report.orphan_files_removed, 1, "the catalog");
+        assert!(!dir.join(LEGACY_CATALOG_FILE).exists());
+        let mut store = TrackStore::open(&dir).unwrap();
+        assert_eq!(store.ingest_clip(&info(), &clip(2)).unwrap(), 2);
+        let store = TrackStore::open(&dir).unwrap();
+        assert_eq!(store.len(), 3);
+        for id in 0..3 {
+            let tracks = &store.load(id).unwrap().tracks;
+            let want = serde_json::to_string(&clip(id)).unwrap();
+            assert_eq!(serde_json::to_string(tracks).unwrap(), want, "clip {id}");
+        }
+        assert!(fsck(&dir, false).unwrap().healthy());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1152,13 +1168,9 @@ mod tests {
     fn ingest_changes_store_fingerprint() {
         let dir = tmp_dir("fp");
         let mut store = TrackStore::create(&dir).unwrap();
-        store
-            .ingest_clip(&info(), &[track(0, &[(0, 1.0, 1.0), (5, 9.0, 9.0)])])
-            .unwrap();
+        store.ingest_clip(&info(), &clip(0)).unwrap();
         let f1 = store.fingerprint();
-        store
-            .ingest_clip(&info(), &[track(0, &[(0, 2.0, 2.0), (5, 8.0, 8.0)])])
-            .unwrap();
+        store.ingest_clip(&info(), &clip(1)).unwrap();
         assert_ne!(f1, store.fingerprint());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -365,7 +365,7 @@ fn cmd_execute(flags: HashMap<String, String>) -> Result<(), String> {
                 "resuming {dir}: {} of {} clip(s) recovered from the run journal{}",
                 session.recovered_clips(),
                 dataset.test.len(),
-                if replayed.torn_tail {
+                if replayed.summary.torn_tail {
                     " (torn tail dropped)"
                 } else {
                     ""
@@ -611,11 +611,9 @@ fn cmd_ingest(flags: HashMap<String, String>) -> Result<(), String> {
         .cloned()
         .unwrap_or_else(|| "otif-store".to_string());
     let dir = Path::new(&dir);
-    // append to an existing store (journal-bearing or legacy
-    // catalog-only), create otherwise
-    let mut store = if dir.join(otif::serve::journal::JOURNAL_FILE).exists()
-        || dir.join("catalog.json").exists()
-    {
+    // append to an existing store, create otherwise (both refuse a
+    // pre-journal store until store-fsck --repair migrates it)
+    let mut store = if dir.join(otif::serve::journal::JOURNAL_FILE).exists() {
         TrackStore::open(dir)?
     } else {
         TrackStore::create(dir)?
@@ -846,19 +844,15 @@ fn cmd_store_fsck(flags: HashMap<String, String>) -> Result<(), String> {
         return Err("--report-only never modifies or fails; drop it to use --repair".to_string());
     }
     let report = fsck(Path::new(&dir), repair)?;
-    println!(
-        "journal: {} entr(ies), checkpoint {} entr(ies){}{}",
-        report.journal_entries,
-        report.checkpoint_entries,
-        if report.torn_tail { ", torn tail" } else { "" },
-        if report.torn_tail_truncated {
-            " (truncated)"
-        } else {
-            ""
-        }
-    );
-    if report.invalid_records > 0 {
-        println!("invalid journal records: {}", report.invalid_records);
+    let tail = match (report.journal.torn_tail, report.torn_tail_truncated) {
+        (true, true) => ", torn tail (truncated)",
+        (true, false) => ", torn tail",
+        (false, _) => "",
+    };
+    println!("journal: {} entr(ies){tail}", report.journal_entries);
+    let invalid = report.journal.invalid_records;
+    if invalid > 0 {
+        println!("invalid journal records: {invalid}");
     }
     if !report.missing_clips.is_empty() {
         println!("missing clip files: {:?}", report.missing_clips);
@@ -882,9 +876,6 @@ fn cmd_store_fsck(flags: HashMap<String, String>) -> Result<(), String> {
             },
             report.orphan_files
         );
-    }
-    if report.checkpoint_rewritten {
-        println!("checkpoint rewritten from journal");
     }
     if let Some(path) = flags.get("report") {
         let json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
@@ -910,7 +901,7 @@ fn cmd_store_fsck(flags: HashMap<String, String>) -> Result<(), String> {
                 "unrepairable: {} acknowledged clip(s) have no payload on disk, \
                  {} corrupt journal record(s)",
                 report.missing_clips.len(),
-                report.invalid_records
+                report.journal.invalid_records
             ));
         }
         if !report.corrupt_quarantined.is_empty() || !report.already_quarantined.is_empty() {
@@ -1022,8 +1013,8 @@ const USAGE: &str = "usage: otif-cli <generate|prepare|curve|execute|query|inges
   serve-bench  --store otif-store [--clients N --repeats N --seed N] [--threads N] [--no-prune]
                [--deadline-ms MS --max-concurrent N --queue N] [--stats stats.json]
   store-fsck   --store otif-store [--repair] [--report-only] [--report report.json]
-               (journal replay; verifies every clip payload; exits nonzero while issues remain
-                unless --report-only)";
+               (journal replay; verifies every clip payload; --repair also migrates a pre-journal
+                store; exits nonzero while issues remain unless --report-only)";
 
 /// Boolean flags (no value) across all commands.
 const SWITCH_FLAGS: [&str; 4] = ["fail-fast", "no-prune", "repair", "report-only"];

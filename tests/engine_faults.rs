@@ -224,7 +224,8 @@ fn recoverable_error_is_healed_by_sequential_retry() {
     // the bounded backoff schedule: one attempt, base * 2^0 virtual
     // seconds accounted in the makespan (never in the ledger)
     assert_eq!(stats.retry_attempts, 1);
-    let expected_backoff = otif_engine::retry_backoff(opts.retry_backoff_base, 0);
+    let expected_backoff =
+        otif_engine::retry_backoff(otif_engine::scheduler::RETRY_BACKOFF_BASE, 0);
     assert!(
         (stats.retry_backoff_seconds - expected_backoff).abs() < 1e-12,
         "backoff {} != schedule {}",
